@@ -20,7 +20,6 @@ from .accountant import (
 from .baselines import (
     ApproxDp,
     BaselineConfig,
-    BaselineVariant,
     amplify_by_subsampling,
     baseline_total,
     blanket_condition_ok,
@@ -42,19 +41,11 @@ from .bounds import (
     zeta_shuffle,
     zeta_special,
 )
-from .logspace import (
-    SignedLog,
-    binom_central_moment,
-    log_binomial,
-    log_gamma,
-    signed_log_sum,
-)
+from .logspace import SignedLog, log_binomial
 from .mechanisms import (
-    Rr2Mech,
     VecMech,
     clip,
     clip_batch,
-    rr2_randomize,
     vec_kernel,
     vec_randomize,
     vec_randomize_batch,

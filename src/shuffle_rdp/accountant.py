@@ -5,10 +5,9 @@ minimizes, over the tabulated integer orders, the standard penalty
 
     eps(lambda) + (ln(1/delta) + (lambda-1) ln(1-1/lambda) - ln lambda) / (lambda-1).
 
-The search over orders is grid-based with an optional early exit once the
+The search over orders walks the integer grid upward and stops once the
 objective has failed to improve for a stretch of consecutive orders; the
-objective is empirically unimodal, and the full-grid scan remains
-available as the correctness fallback.
+objective is empirically unimodal in the order.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class AccountantConfig:
     T: int
     delta: float
     lambda_max: int = DEFAULT_LAMBDA_MAX
-    exact_search: bool = False
 
     def __post_init__(self):
         if self.T < 1 or self.T != int(self.T):
@@ -130,13 +128,12 @@ def minimize_over_orders(
     T: int,
     delta: float,
     lambda_max: int = DEFAULT_LAMBDA_MAX,
-    exact_search: bool = False,
 ) -> tuple[float, int, float]:
     """min over lambda in {2..lambda_max} of T eps_fn(lambda) + penalty(lambda).
 
-    Returns (clamped eps, argmin lambda, unclamped eps).  Unless
-    ``exact_search`` is set, stops after EARLY_EXIT_PATIENCE consecutive
-    orders without improvement on the incumbent.
+    Returns (clamped eps, argmin lambda, unclamped eps).  Stops after
+    EARLY_EXIT_PATIENCE consecutive orders without improvement on the
+    incumbent.
     """
     best = math.inf
     best_lam = 2
@@ -148,7 +145,7 @@ def minimize_over_orders(
             stale = 0
         else:
             stale += 1
-            if stale >= EARLY_EXIT_PATIENCE and not exact_search:
+            if stale >= EARLY_EXIT_PATIENCE:
                 break
     return max(best, 0.0), best_lam, best
 
@@ -159,11 +156,7 @@ def total_privacy(
     """(eps, delta)-DP of T composed subsampled-shuffle rounds, via the
     upper RDP bound minimized over integer orders."""
     eps, lam, raw = minimize_over_orders(
-        lambda lam: rdp_upper(lam, params),
-        cfg.T,
-        cfg.delta,
-        cfg.lambda_max,
-        cfg.exact_search,
+        lambda lam: rdp_upper(lam, params), cfg.T, cfg.delta, cfg.lambda_max
     )
     return DpGuarantee(
         eps=eps,

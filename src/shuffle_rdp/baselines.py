@@ -16,14 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .accountant import DpGuarantee, Provenance
-from .bounds import SubsampledShuffleParams
-
-
-class BaselineVariant(Enum):
-    CLONES_CLOSED_FORM = "clones-closed-form"
+from .bounds import SubsampledShuffleParams, check_eps0
 
 
 @dataclass(frozen=True)
@@ -32,7 +27,6 @@ class BaselineConfig:
 
     delta_shuffle: float
     delta_comp: float
-    variant: BaselineVariant = BaselineVariant.CLONES_CLOSED_FORM
 
     def __post_init__(self):
         for name, val in (("delta_shuffle", self.delta_shuffle), ("delta_comp", self.delta_comp)):
@@ -112,8 +106,7 @@ def shuffle_amplify(eps0: float, k: int, delta: float) -> ApproxDp:
     """
     if k < 2 or k != int(k):
         raise ValueError(f"k must be an integer >= 2, got {k}")
-    if not (math.isfinite(eps0) and eps0 >= 0):
-        raise ValueError(f"eps0 must be finite and >= 0, got {eps0}")
+    check_eps0(eps0)
     if eps0 == 0.0:
         return ApproxDp(eps=0.0, delta=delta)
     if clones_condition_ok(eps0, k, delta):

@@ -14,12 +14,15 @@ random permutation of the k reports.  This module evaluates:
 All sums are accumulated in log space (see :mod:`shuffle_rdp.logspace`);
 orders are restricted to integers lambda >= 2, exactly as the closed
 forms are stated.  At eps0 = 0 every quantity here is identically zero.
+Every closed form evaluates e^{eps0}, so eps0 must lie in [0, EPS0_MAX],
+where EPS0_MAX = ln(largest double) ~ 709.78 is the largest eps0 whose
+e^{eps0} is a finite double.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -39,6 +42,18 @@ from .logspace import (
 #: Hard cap used by the lower bound's O(k) moment summation.
 LOWER_BOUND_MAX_K = 100_000
 
+#: Largest eps0 whose e^{eps0} is a finite double.
+EPS0_MAX = math.log(sys.float_info.max)
+
+
+def check_eps0(eps0: float) -> float:
+    """Return eps0 if it lies in [0, EPS0_MAX]; raise ValueError otherwise."""
+    if not 0.0 <= eps0 <= EPS0_MAX:
+        raise ValueError(
+            f"eps0 must lie in [0, {EPS0_MAX:.6f}] so that e^eps0 is finite, got {eps0}"
+        )
+    return eps0
+
 
 @dataclass(frozen=True)
 class SubsampledShuffleParams:
@@ -53,8 +68,7 @@ class SubsampledShuffleParams:
             raise ValueError("n and k must be integers")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"require 1 <= k <= n, got k={self.k}, n={self.n}")
-        if not (math.isfinite(self.eps0) and self.eps0 >= 0):
-            raise ValueError(f"eps0 must be finite and >= 0, got {self.eps0}")
+        check_eps0(self.eps0)
 
     @property
     def gamma(self) -> float:
@@ -128,8 +142,7 @@ def log_zeta_special(alpha: int, m: int, eps0: float) -> float:
         raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
     if m < 1 or m != int(m):
         raise ValueError(f"m must be a positive integer, got {m}")
-    if not (math.isfinite(eps0) and eps0 >= 0):
-        raise ValueError(f"eps0 must be finite and >= 0, got {eps0}")
+    check_eps0(eps0)
     if eps0 == 0.0:
         return -math.inf
     if alpha == 2:
@@ -161,8 +174,7 @@ def zeta_shuffle(alpha: int, k: int, eps0: float) -> ZetaBound:
         raise ValueError(f"k must be an integer >= 2, got {k}")
     if alpha < 2 or alpha != int(alpha):
         raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
-    if not (math.isfinite(eps0) and eps0 >= 0):
-        raise ValueError(f"eps0 must be finite and >= 0, got {eps0}")
+    check_eps0(eps0)
     if eps0 == 0.0:
         return ZetaBound(alpha=int(alpha), value=0.0)
     kb = kbar(k, eps0)
@@ -236,24 +248,28 @@ def rdp_upper(lam: int, params: SubsampledShuffleParams) -> float:
     return log1p_exp(log_s) / (lam - 1)
 
 
-# Central moments of Bin(k, p), grown on demand up to the largest order a
-# scan has asked for; guarded for concurrent curve tabulation.
-_MOMENT_CACHE: dict[tuple[int, float], tuple[list[int], list[float]]] = {}
-_MOMENT_LOCK = threading.Lock()
+# Central moments of Bin(k, p) as (k, p, signs, log magnitudes) for the last
+# (k, p) asked for, grown on demand up to the largest order a scan has
+# reached.  Every caller walks orders at a fixed (k, p), so a new key
+# replaces the old one.  The tuple is rebound whole and never mutated, so a
+# concurrent reader always sees a consistent snapshot.
+_MOMENT_CACHE: tuple = (None, None, np.zeros(0, dtype=np.int64), np.zeros(0))
 
 
 def _moment_arrays(k: int, p: float, j_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(signs, log magnitudes) of E[(m - kp)^j] for j = 0..j_max."""
-    with _MOMENT_LOCK:
-        signs, logs = _MOMENT_CACHE.setdefault((k, p), ([], []))
-        while len(signs) <= j_max:
-            mom = binom_central_moment_signed(k, p, len(signs))
-            signs.append(mom.sign)
-            logs.append(mom.log_mag)
-        return (
-            np.array(signs[: j_max + 1], dtype=np.int64),
-            np.array(logs[: j_max + 1], dtype=np.float64),
-        )
+    """(signs, log magnitudes) of E[(m - kp)^j] for j = 0..j_max (read-only)."""
+    global _MOMENT_CACHE
+    cached_k, cached_p, signs, logs = _MOMENT_CACHE
+    if (cached_k, cached_p) != (k, p):
+        signs, logs = signs[:0], logs[:0]
+    if len(signs) <= j_max:
+        new = [binom_central_moment_signed(k, p, j) for j in range(len(signs), j_max + 1)]
+        signs = np.concatenate([signs, [m.sign for m in new]])
+        logs = np.concatenate([logs, [m.log_mag for m in new]])
+        signs.setflags(write=False)
+        logs.setflags(write=False)
+        _MOMENT_CACHE = (k, p, signs, logs)
+    return signs[: j_max + 1], logs[: j_max + 1]
 
 
 def rdp_lower(lam: int, params: SubsampledShuffleParams) -> float:

@@ -14,22 +14,20 @@ CSV (comma separator, scientific notation with 12 significant digits, LF
 endings, mandatory header) with run metadata in a ``*.meta.json`` sidecar
 and never any timestamps, so identical inputs give byte-identical files.
 Exit codes: 0 ok, 1 invariant-check failure, 2 usage or validation error.
-``RDP_ACCT_THREADS`` caps sweep parallelism; row order always matches
-input order.  An optional ``--config`` JSON supplies defaults that
-explicit flags override.
+An optional ``--config`` JSON supplies defaults that explicit flags
+override.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .accountant import (
+    DEFAULT_LAMBDA_MAX,
     AccountantConfig,
     DpGuarantee,
     compose as compose_curve,
@@ -49,34 +47,12 @@ from .checks import ALL_CHECKS
 from . import sgd
 
 
-class UsageError(Exception):
-    """Invalid flags or parameters; maps to exit code 2."""
+class UsageError(ValueError):
+    """Invalid flags or parameters; maps to exit code 2, as every ValueError does."""
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
-
-
-def _threads() -> int:
-    raw = os.environ.get("RDP_ACCT_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"RDP_ACCT_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise UsageError("RDP_ACCT_THREADS must be >= 1")
-        return cap
-    return min(4, os.cpu_count() or 1)
-
-
-def _sweep_map(fn, values):
-    """Order-preserving map, parallel when the thread cap allows."""
-    cap = _threads()
-    if cap == 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=min(cap, len(values))) as pool:
-        return list(pool.map(fn, values))
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
@@ -140,14 +116,32 @@ def _require(value, name: str):
     return value
 
 
+def _to_int(value, name: str) -> int:
+    """value as an int: integral spellings such as '1e4' pass, 2.5 does not."""
+    if isinstance(value, int):
+        return value
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or not x.is_integer():
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _int_arg(args, config: dict, key: str, default=None) -> Optional[int]:
+    """The merged value of an integer parameter, or None when it is unset."""
+    val = _merged(args, config, key, default)
+    return None if val is None else _to_int(val, f"--{key}")
+
+
 def _parse_values(raw: str, kind: str) -> list:
     try:
-        if kind == "int":
-            vals = [int(float(v)) for v in raw.split(",") if v.strip()]
-        else:
-            vals = [float(v) for v in raw.split(",") if v.strip()]
+        vals = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse values {raw!r}") from exc
+    if kind == "int":
+        vals = [_to_int(v, "every value") for v in vals]
     if not vals:
         raise UsageError("values list is empty")
     if any(v <= 0 for v in vals):
@@ -171,13 +165,6 @@ def _log_range(start: float, stop: float, points: int, kind: str) -> list:
     return grid
 
 
-def _params_or_usage(n: int, k: int, eps0: float) -> SubsampledShuffleParams:
-    try:
-        return SubsampledShuffleParams(n=n, k=k, eps0=eps0)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
     try:
         with open(path) as f:
@@ -191,13 +178,10 @@ def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
         parts = ln.split(",")
         if len(parts) < 2:
             raise UsageError(f"malformed curve row {ln!r}")
-        entries.append((int(float(parts[0])), float(parts[1])))
+        entries.append((_to_int(parts[0], "curve order"), float(parts[1])))
     if not entries:
         raise UsageError(f"curve file {path} holds no entries")
-    try:
-        return RdpCurve(entries=tuple(entries), kind=kind, params=None)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return RdpCurve(entries=tuple(entries), kind=kind, params=None)
 
 
 # ----------------------------------------------------------------------
@@ -207,19 +191,19 @@ def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
 
 def cmd_bound(args, config: dict) -> int:
     eps0 = _require(_merged(args, config, "eps0"), "--eps0")
-    k = int(_require(_merged(args, config, "k"), "--k"))
-    n = int(_require(_merged(args, config, "n"), "--n"))
-    params = _params_or_usage(n, k, eps0)
+    k = _require(_int_arg(args, config, "k"), "--k")
+    n = _require(_int_arg(args, config, "n"), "--n")
+    params = SubsampledShuffleParams(n=n, k=k, eps0=eps0)
     if params.k < 2:
         raise UsageError("the upper bound requires k >= 2")
     if args.lambdas:
         lambdas = _parse_values(args.lambdas, "int")
     else:
-        lo = int(_merged(args, config, "lambda-min", 2))
-        hi = _merged(args, config, "lambda-max")
+        lo = _int_arg(args, config, "lambda-min", 2)
+        hi = _int_arg(args, config, "lambda-max")
         if hi is None:
             raise UsageError("provide --lambdas or --lambda-max")
-        lambdas = list(range(lo, int(hi) + 1))
+        lambdas = list(range(lo, hi + 1))
     if not lambdas:
         raise UsageError("empty order range")
     if any(l < 2 for l in lambdas):
@@ -242,12 +226,7 @@ def cmd_convert(args, config: dict) -> int:
     delta = float(_require(_merged(args, config, "delta"), "--delta"))
     if not 0.0 < delta < 1.0:
         raise UsageError(f"delta must lie in (0, 1), got {delta}")
-    kind = {
-        "upper": CurveKind.UPPER_BOUND,
-        "lower": CurveKind.LOWER_BOUND,
-        "exact": CurveKind.EXACT,
-    }[args.kind]
-    curve = _read_curve(_require(args.curve, "--curve"), kind)
+    curve = _read_curve(_require(args.curve, "--curve"), CurveKind(args.kind))
     out = _out_dir(args)
     g = rdp_to_dp(curve, delta)
     _write_json(out / "convert.json", _guarantee_payload(g))
@@ -255,15 +234,10 @@ def cmd_convert(args, config: dict) -> int:
 
 
 def cmd_compose(args, config: dict) -> int:
-    T = int(_require(_merged(args, config, "T"), "--T"))
+    T = _require(_int_arg(args, config, "T"), "--T")
     if T < 1:
         raise UsageError("--T must be a positive integer")
-    kind = {
-        "upper": CurveKind.UPPER_BOUND,
-        "lower": CurveKind.LOWER_BOUND,
-        "exact": CurveKind.EXACT,
-    }[args.kind]
-    curve = _read_curve(_require(args.curve, "--curve"), kind)
+    curve = _read_curve(_require(args.curve, "--curve"), CurveKind(args.kind))
     out = _out_dir(args)
     composed = compose_curve(curve, T)
     rows = [f"{lam},{_fmt(eps)}" for lam, eps in composed.entries]
@@ -276,18 +250,12 @@ def cmd_compose(args, config: dict) -> int:
 
 
 def _compare_point(
-    params: SubsampledShuffleParams,
-    T: int,
-    delta: float,
-    lambda_max: int,
-    exact_search: bool,
+    params: SubsampledShuffleParams, cfg: AccountantConfig
 ) -> tuple[str, str, str]:
-    ours = total_privacy(
-        params, AccountantConfig(T=T, delta=delta, lambda_max=lambda_max, exact_search=exact_search)
-    )
-    base = baseline_total(params, T, delta)
+    ours = total_privacy(params, cfg)
+    base = baseline_total(params, cfg.T, cfg.delta)
     lower_eps, _, _ = minimize_over_orders(
-        lambda lam: rdp_lower(lam, params), T, delta, lambda_max, exact_search
+        lambda lam: rdp_lower(lam, params), cfg.T, cfg.delta, cfg.lambda_max
     )
     base_cell = "degenerate" if base.degenerate else _fmt(base.eps)
     return _fmt(ours.eps), base_cell, _fmt(lower_eps)
@@ -304,51 +272,40 @@ def cmd_compare(args, config: dict) -> int:
         values = _parse_values(args.values, value_kind)
     elif args.log_range:
         start, stop, points = args.log_range
-        values = _log_range(float(start), float(stop), int(float(points)), value_kind)
+        values = _log_range(
+            float(start), float(stop), _to_int(points, "--log-range POINTS"), value_kind
+        )
     else:
         raise UsageError("provide --values or --log-range")
 
     T = _merged(args, config, "T")
     eps0 = _merged(args, config, "eps0")
-    k = _merged(args, config, "k")
     n = _merged(args, config, "n")
     delta = float(_require(_merged(args, config, "delta"), "--delta"))
-    lambda_max = int(_merged(args, config, "lambda-max", 2048))
-    exact_search = bool(args.exact_search)
-    if not 0.0 < delta < 1.0:
-        raise UsageError(f"delta must lie in (0, 1), got {delta}")
-
+    lambda_max = _int_arg(args, config, "lambda-max", DEFAULT_LAMBDA_MAX)
     if axis != "T":
-        T = int(_require(T, "--T"))
+        T = _require(_int_arg(args, config, "T"), "--T")
     if axis != "eps0":
         eps0 = float(_require(eps0, "--eps0"))
     if axis != "n":
-        n = int(_require(n, "--n"))
-    k = int(_require(k, "--k"))
-
-    def point(v):
-        t = int(v) if axis == "T" else T
-        nn = int(v) if axis == "n" else n
-        e0 = float(v) if axis == "eps0" else eps0
-        params = _params_or_usage(nn, k, e0)
-        if params.k < 2:
-            raise UsageError("compare requires k >= 2")
-        return _compare_point(params, t, delta, lambda_max, exact_search)
-
-    # Validate every point before computing anything (no partial outputs).
+        n = _require(_int_arg(args, config, "n"), "--n")
+    k = _require(_int_arg(args, config, "k"), "--k")
     if k < 2:
         raise UsageError("compare requires k >= 2")
-    for v in values:
-        t = int(v) if axis == "T" else T
-        nn = int(v) if axis == "n" else n
-        e0 = float(v) if axis == "eps0" else eps0
-        _params_or_usage(nn, k, e0)
-        if t < 1:
-            raise UsageError("T must be >= 1")
 
-    results = _sweep_map(point, values)
+    # Validate every point before computing anything (no partial outputs).
+    points = [
+        (
+            SubsampledShuffleParams(
+                n=v if axis == "n" else n, k=k, eps0=v if axis == "eps0" else eps0
+            ),
+            AccountantConfig(T=v if axis == "T" else T, delta=delta, lambda_max=lambda_max),
+        )
+        for v in values
+    ]
+    results = [_compare_point(params, cfg) for params, cfg in points]
     out = _out_dir(args)
-    axis_fmt = (lambda v: str(int(v))) if value_kind == "int" else _fmt
+    axis_fmt = str if value_kind == "int" else _fmt
     rows = [
         f"{axis_fmt(v)},{ours},{base},{lower}"
         for v, (ours, base, lower) in zip(values, results)
@@ -359,14 +316,13 @@ def cmd_compare(args, config: dict) -> int:
         {
             "command": "compare",
             "axis": axis,
-            "values": [int(v) if value_kind == "int" else v for v in values],
+            "values": values,
             "T": T,
             "eps0": eps0,
             "k": k,
             "n": n,
             "delta": delta,
             "lambda_max": lambda_max,
-            "exact_search": exact_search,
         },
     )
     return 0
@@ -374,19 +330,19 @@ def cmd_compare(args, config: dict) -> int:
 
 def cmd_simulate(args, config: dict) -> int:
     loss = _merged(args, config, "loss", sgd.LOSS_LEAST_SQUARES)
-    d = int(_merged(args, config, "d", 10))
-    n = int(_merged(args, config, "n", 1000))
+    d = _int_arg(args, config, "d", 10)
+    n = _int_arg(args, config, "n", 1000)
     radius = float(_merged(args, config, "radius", 1.0))
-    problem_seed = int(_merged(args, config, "problem-seed", 7))
-    T = int(_require(_merged(args, config, "T"), "--T"))
-    k = int(_require(_merged(args, config, "k"), "--k"))
+    problem_seed = _int_arg(args, config, "problem-seed", 7)
+    T = _require(_int_arg(args, config, "T"), "--T")
+    k = _require(_int_arg(args, config, "k"), "--k")
     eps0 = float(_require(_merged(args, config, "eps0"), "--eps0"))
     clip_radius = _merged(args, config, "clip-radius")
     delta = float(_merged(args, config, "delta", 1e-8))
-    seed = int(_merged(args, config, "seed", 0))
+    seed = _int_arg(args, config, "seed", 0)
     schedule = _merged(args, config, "schedule", sgd.SCHEDULE_PAPER)
     eta = _merged(args, config, "eta")
-    record_every = _merged(args, config, "record-every")
+    record_every = _int_arg(args, config, "record-every")
 
     if loss == sgd.LOSS_LEAST_SQUARES:
         problem = sgd.least_squares_problem(n=n, d=d, seed=problem_seed, radius=radius)
@@ -396,25 +352,19 @@ def cmd_simulate(args, config: dict) -> int:
         raise UsageError(f"unknown loss {loss!r}")
     if clip_radius is None:
         clip_radius = problem.lipschitz  # clipping provably inactive
-    try:
-        cfg = sgd.SgdConfig(
-            T=T,
-            k=k,
-            eps0=eps0,
-            clip_radius=float(clip_radius),
-            delta=delta,
-            seed=seed,
-            schedule=schedule,
-            eta=None if eta is None else float(eta),
-            record_every=None if record_every is None else int(record_every),
-        )
-        if cfg.k > problem.n:
-            raise ValueError(f"cohort k={cfg.k} exceeds n={problem.n}")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    out = _out_dir(args)
-
+    cfg = sgd.SgdConfig(
+        T=T,
+        k=k,
+        eps0=eps0,
+        clip_radius=float(clip_radius),
+        delta=delta,
+        seed=seed,
+        schedule=schedule,
+        eta=None if eta is None else float(eta),
+        record_every=record_every,
+    )
     report = sgd.run(problem, cfg)
+    out = _out_dir(args)
     rows = [
         f"{t},{_fmt(obj)}" for t, obj in zip(report.rounds, report.objectives)
     ]
@@ -507,7 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=float)
     p.add_argument("--lambda-max", type=int, dest="lambda_max")
-    p.add_argument("--exact-search", action="store_true", dest="exact_search")
 
     p = sub.add_parser("simulate", help="run the private SGD simulator")
     add_common(p)
@@ -552,9 +501,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
-
 import numpy as np
 from scipy.special import gammaln
 
@@ -46,12 +44,6 @@ class SignedLog:
         if (self.sign == 0) != (self.log_mag == -math.inf):
             raise ValueError("sign == 0 iff log_mag == -inf")
 
-    @staticmethod
-    def from_real(x: float) -> "SignedLog":
-        if x == 0.0:
-            return ZERO
-        return SignedLog(1 if x > 0 else -1, math.log(abs(x)))
-
     def to_real(self) -> float:
         if self.sign == 0:
             return 0.0
@@ -82,23 +74,6 @@ def log_binomial_row(n: int, ks: np.ndarray) -> np.ndarray:
     return gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def _logsumexp(logs: Sequence[float]) -> float:
-    """log(sum(exp(logs))); -inf on empty input."""
-    if len(logs) == 0:
-        return -math.inf
-    m = max(logs)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(v - m) for v in logs))
-
-
 def _logsumexp_np(logs: np.ndarray) -> float:
     if logs.size == 0:
         return -math.inf
@@ -117,25 +92,14 @@ def _log_diff(log_pos: float, log_neg: float) -> SignedLog:
     return SignedLog(-1, log_neg + math.log1p(-math.exp(log_pos - log_neg)))
 
 
-def signed_log_sum(terms: Iterable[SignedLog]) -> SignedLog:
-    """Sum of signed log-domain terms.
+def signed_logsumexp_arrays(signs: np.ndarray, log_mags: np.ndarray) -> SignedLog:
+    """Sum of signed log-domain terms given as parallel sign / log-magnitude arrays.
 
     Positive and negative magnitudes accumulate separately (log-sum-exp at
-    the running maximum) and are differenced once, at the larger scale, so
+    their maximum) and are differenced once, at the larger scale, so
     pairwise cancellation costs a single log1p instead of n roundoffs.
+    Terms with sign 0 are ignored.
     """
-    pos: list[float] = []
-    neg: list[float] = []
-    for t in terms:
-        if t.sign > 0:
-            pos.append(t.log_mag)
-        elif t.sign < 0:
-            neg.append(t.log_mag)
-    return _log_diff(_logsumexp(pos), _logsumexp(neg))
-
-
-def signed_logsumexp_arrays(signs: np.ndarray, log_mags: np.ndarray) -> SignedLog:
-    """Vectorized signed_log_sum over parallel sign / log-magnitude arrays."""
     pos = log_mags[signs > 0]
     neg = log_mags[signs < 0]
     return _log_diff(_logsumexp_np(pos), _logsumexp_np(neg))
@@ -202,8 +166,3 @@ def binom_central_moment_signed(k: int, p: float, j: int) -> SignedLog:
     log_terms = log_pmf[nz] + j * np.log(np.abs(dev[nz]))
     signs = np.where(dev[nz] > 0, 1, (-1) ** j)
     return signed_logsumexp_arrays(signs, log_terms)
-
-
-def binom_central_moment(k: int, p: float, j: int) -> float:
-    """E[(m - kp)^j] for m ~ Bin(k, p) as a plain float."""
-    return binom_central_moment_signed(k, p, j).to_real()

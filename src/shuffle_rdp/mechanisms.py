@@ -1,7 +1,6 @@
-"""Discrete eps0-LDP randomizers and gradient clipping.
+"""A discrete eps0-LDP randomizer and gradient clipping.
 
-Two mechanisms: binary randomized response, and an unbiased vector
-randomizer for inputs in an l-infinity ball.  The vector mechanism picks
+The randomizer is unbiased for inputs in an l-infinity ball.  It picks
 one coordinate uniformly, stochastically quantizes it to {-C, +C},
 randomizes that sign bit with binary randomized response, and rescales so
 the output is unbiased.  Its output alphabet has 2d points, its
@@ -20,30 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Rr2Mech:
-    """Binary randomized response: keeps the bit with prob e^{eps0}/(e^{eps0}+1)."""
-
-    eps0: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.eps0) and self.eps0 >= 0):
-            raise ValueError(f"eps0 must be finite and >= 0, got {self.eps0}")
-
-    @property
-    def flip_prob(self) -> float:
-        """1/(e^{eps0}+1), in (0, 1/2] for eps0 >= 0."""
-        return 1.0 / (math.exp(self.eps0) + 1.0)
-
-
-def rr2_randomize(bit: int, mech: Rr2Mech, rng: np.random.Generator) -> int:
-    """Randomized response on a single bit."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    if rng.random() < mech.flip_prob:
-        return 1 - bit
-    return bit
+from .bounds import check_eps0
 
 
 def clip(x: np.ndarray, C: float, norm: str = "linf") -> np.ndarray:
@@ -83,15 +59,15 @@ class VecMech:
     C: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps0) and self.eps0 > 0):
-            raise ValueError(
-                f"eps0 must be positive and finite (the variance bound diverges "
-                f"at eps0 = 0), got {self.eps0}"
-            )
+        check_eps0(self.eps0)
+        if self.eps0 == 0.0:
+            raise ValueError("eps0 must be positive (the variance bound diverges at eps0 = 0)")
         if self.d < 1 or self.d != int(self.d):
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not self.C > 0:
             raise ValueError(f"radius must be positive, got {self.C}")
+        if not math.isfinite(self.variance_bound):
+            raise ValueError("the output scale d C (e^eps0+1)/(e^eps0-1) overflows")
 
     @property
     def flip_prob(self) -> float:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams
+from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, check_eps0
 from .logspace import binom_log_pmf
 
 #: Enumeration caps: the full invariant suite must run in well under a minute.
@@ -88,8 +88,7 @@ def rr2_dists(k: int, eps0: float) -> tuple[FiniteDist, FiniteDist]:
     """
     if k < 1 or k != int(k):
         raise ValueError(f"k must be a positive integer, got {k}")
-    if not (math.isfinite(eps0) and eps0 >= 0):
-        raise ValueError(f"eps0 must be finite and >= 0, got {eps0}")
+    check_eps0(eps0)
     k = int(k)
     p = 1.0 / (math.exp(eps0) + 1.0)
     mu0 = np.exp(binom_log_pmf(k, p))

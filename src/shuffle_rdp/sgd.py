@@ -109,7 +109,11 @@ def solve_optimum(
     iters: int = 20_000,
     tol: float = 1e-14,
 ) -> tuple[np.ndarray, float]:
-    """Deterministic projected full-gradient descent to the ball optimum."""
+    """Deterministic projected full-gradient descent to the ball optimum.
+
+    Stops once a step moves theta by at most ``tol`` in l2 norm, or after
+    ``iters`` steps.
+    """
     n, d = features.shape
     if loss == LOSS_LEAST_SQUARES:
         smooth = float(np.linalg.eigvalsh(features.T @ features / n).max())
@@ -125,29 +129,37 @@ def solve_optimum(
         sig = 1.0 / (1.0 + np.exp(-margins))
         return features.T @ (-targets * sig) / n
 
-    prev = math.inf
     for _ in range(iters):
-        theta = project(theta - step * grad(theta), radius)
-        cur = float(np.linalg.norm(grad(theta)))
-        if abs(prev - cur) < tol and cur < 1e-10:
+        nxt = project(theta - step * grad(theta), radius)
+        moved = float(np.linalg.norm(nxt - theta))
+        theta = nxt
+        if moved <= tol:
             break
-        prev = cur
-    prob_val_features = features
     if loss == LOSS_LEAST_SQUARES:
-        f = 0.5 * float(np.mean((prob_val_features @ theta - targets) ** 2))
+        f = 0.5 * float(np.mean((features @ theta - targets) ** 2))
     else:
-        f = float(np.mean(np.logaddexp(0.0, -targets * (prob_val_features @ theta))))
+        f = float(np.mean(np.logaddexp(0.0, -targets * (features @ theta))))
     return theta, f
+
+
+def _random_design(
+    n: int, d: int, seed: int, radius: float
+) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """(rng, features, planted theta) shared by the synthetic problems."""
+    if n < 1 or d < 1:
+        raise ValueError(f"n and d must be positive, got n={n}, d={d}")
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d)) / math.sqrt(d)
+    theta_true = rng.normal(size=d)
+    theta_true *= 0.7 * radius / float(np.linalg.norm(theta_true))
+    return rng, a, theta_true
 
 
 def least_squares_problem(
     n: int, d: int, seed: int, radius: float = 1.0
 ) -> ConvexProblem:
     """A random well-conditioned least-squares instance on the l2 ball."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, d)) / math.sqrt(d)
-    theta_true = rng.normal(size=d)
-    theta_true *= 0.7 * radius / float(np.linalg.norm(theta_true))
+    rng, a, theta_true = _random_design(n, d, seed, radius)
     b = a @ theta_true + 0.05 * rng.normal(size=n)
     # ||grad_i||_inf <= |a_i . theta - b_i| ||a_i||_inf <= (||a_i||_2 R + |b_i|) ||a_i||_inf
     row_l2 = np.linalg.norm(a, axis=1)
@@ -167,10 +179,7 @@ def least_squares_problem(
 
 def logistic_problem(n: int, d: int, seed: int, radius: float = 1.0) -> ConvexProblem:
     """A random logistic-regression instance on the l2 ball."""
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, d)) / math.sqrt(d)
-    theta_true = rng.normal(size=d)
-    theta_true *= 0.7 * radius / float(np.linalg.norm(theta_true))
+    rng, a, theta_true = _random_design(n, d, seed, radius)
     b = np.where(a @ theta_true + 0.1 * rng.normal(size=n) >= 0, 1.0, -1.0)
     # ||grad_i||_inf <= ||a_i||_inf (the sigmoid weight is below 1).
     lipschitz = float(np.max(np.abs(a)))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from shuffle_rdp.accountant import AccountantConfig, total_privacy
 from shuffle_rdp.bounds import (
+    EPS0_MAX,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
@@ -40,6 +42,18 @@ class TestParams:
     def test_invalid(self, n, k, eps0):
         with pytest.raises(ValueError):
             params(n, k, eps0)
+
+    def test_eps0_range_ends_where_exp_overflows(self):
+        # e^EPS0_MAX is the largest finite double; every bound stays finite there.
+        assert math.isfinite(math.exp(EPS0_MAX))
+        p = params(10**6, 1000, EPS0_MAX)
+        for lam in (2, 64):
+            assert 0 <= rdp_lower(lam, p) <= rdp_upper(lam, p) < math.inf
+        g = total_privacy(p, AccountantConfig(T=100, delta=1e-8, lambda_max=64))
+        assert math.isfinite(g.eps)
+        for eps0 in (EPS0_MAX * (1 + 1e-15), 710.0, 800.0):
+            with pytest.raises(ValueError):
+                params(10**6, 1000, eps0)
 
 
 class TestRdpCurveType:
@@ -275,6 +289,25 @@ class TestConcurrentTabulation:
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel_up = list(pool.map(lambda lam: rdp_upper(lam, p), lams))
         assert serial_up == parallel_up
+
+    def test_alternating_keys_under_contention(self):
+        # The moment cache keeps one (k, p) and is replaced, not mutated:
+        # threads that switch keys under a tiny switch interval may redo
+        # work but must never read another key's moments.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        ps = [params(10**4, 300, 1.0), params(10**4, 300, 2.0), params(10**4, 200, 1.0)]
+        jobs = [(p, lam) for lam in range(2, 81) for p in ps]
+        serial = [rdp_lower(lam, p) for p, lam in jobs]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(lambda job: rdp_lower(job[1], job[0]), jobs))
+        finally:
+            sys.setswitchinterval(old)
+        assert serial == parallel
 
 
 class TestCurves:

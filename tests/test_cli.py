@@ -172,19 +172,15 @@ class TestCompare:
         assert rc == 2
         assert not (out / "compare.csv").exists()
 
-    def test_thread_cap_preserves_output(self, tmp_path, monkeypatch):
-        args = [
-            "compare", "--axis", "eps0", "--values", "0.5,1,2",
-            "--k", "100", "--n", "10000", "--T", "100", "--delta", "1e-8",
-            "--lambda-max", "128",
-        ]
-        monkeypatch.setenv("RDP_ACCT_THREADS", "1")
-        main(args + ["--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("RDP_ACCT_THREADS", "3")
-        main(args + ["--out", str(tmp_path / "par")])
-        assert read(tmp_path / "serial" / "compare.csv") == read(
-            tmp_path / "par" / "compare.csv"
+    def test_integral_spelling_accepted(self, tmp_path):
+        rc = main(
+            ["compare", "--axis", "T", "--values", "1e2,1000",
+             "--eps0", "1", "--k", "100", "--n", "10000", "--delta", "1e-8",
+             "--lambda-max", "64", "--out", str(tmp_path)]
         )
+        assert rc == 0
+        rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["100", "1000"]
 
 
 class TestSimulate:
@@ -242,6 +238,92 @@ class TestSimulate:
         elapsed = time.perf_counter() - t0
         assert rc == 0
         assert elapsed < 60.0, f"simulate took {elapsed:.1f}s"
+
+
+def assert_usage_error(capsys, argv, out, says=""):
+    """Exit 2 with a one-line `error:` message, no traceback, and no files."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert says in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+class TestRejectedInputs:
+    def test_bound_eps0_with_infinite_exp(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["bound", "--eps0", "800", "--k", "1000", "--n", "1000000",
+             "--lambda-max", "4", "--out", str(out)],
+            out,
+        )
+
+    def test_compare_eps0_with_infinite_exp(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "eps0", "--values", "1,800", "--k", "100",
+             "--n", "10000", "--T", "10", "--delta", "1e-8", "--lambda-max", "8",
+             "--out", str(out)],
+            out,
+        )
+
+    def test_simulate_eps0_with_infinite_exp(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["simulate", "--T", "5", "--k", "10", "--n", "100", "--d", "3",
+             "--eps0", "800", "--out", str(out)],
+            out,
+        )
+
+    def test_simulate_scale_overflow(self, tmp_path, capsys):
+        # e^eps0 is finite here, but the randomizer's output scale is not.
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["simulate", "--T", "5", "--k", "10", "--n", "100", "--d", "3",
+             "--eps0", "709.7", "--out", str(out)],
+            out,
+            says="output scale",
+        )
+
+    def test_bound_fractional_order(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["bound", "--eps0", "1", "--k", "100", "--n", "10000",
+             "--lambdas", "2.5,8", "--out", str(out)],
+            out,
+        )
+
+    @pytest.mark.parametrize("order", ["2.5", "3.7"])
+    @pytest.mark.parametrize("command", ["convert", "compose"])
+    def test_curve_fractional_order(self, tmp_path, capsys, command, order):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"lambda,eps\n{order},1.0e-03\n8,2.0e-03\n", newline="\n")
+        out = tmp_path / "o"
+        flag = ["--delta", "1e-6"] if command == "convert" else ["--T", "10"]
+        assert_usage_error(capsys, [command, "--curve", str(curve), *flag, "--out", str(out)], out)
+
+    def test_compare_fractional_rounds(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "T", "--values", "1000.7", "--eps0", "1",
+             "--k", "100", "--n", "10000", "--delta", "1e-8", "--out", str(out)],
+            out,
+        )
+
+    def test_simulate_zero_dimension(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["simulate", "--T", "5", "--k", "10", "--n", "100", "--d", "0",
+             "--eps0", "2", "--out", str(out)],
+            out,
+        )
 
 
 class TestOracle:

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from shuffle_rdp.bounds import EPS0_MAX
 from shuffle_rdp.mechanisms import (
-    Rr2Mech,
     VecMech,
     clip,
     clip_batch,
-    rr2_randomize,
     vec_kernel,
     vec_randomize,
     vec_randomize_batch,
@@ -18,36 +17,38 @@ from shuffle_rdp.mechanisms import (
 
 
 class TestRr2:
+    """The binary randomized response that VecMech applies to its sign bit.
+
+    At x = +C the quantized sign is always +1, so the sign of the output is
+    exactly one randomized-response draw.
+    """
+
+    @staticmethod
+    def positive_share(eps0, n, seed):
+        mech = VecMech(eps0=eps0, d=1, C=1.0)
+        draws = vec_randomize_batch(np.ones((n, 1)), mech, np.random.default_rng(seed))
+        return float((draws[:, 0] > 0).mean())
+
     def test_flip_prob_range(self):
-        assert Rr2Mech(eps0=0.0).flip_prob == 0.5
-        assert 0 < Rr2Mech(eps0=5.0).flip_prob < 0.5
+        assert VecMech(eps0=1e-12, d=1, C=1.0).flip_prob == pytest.approx(0.5, rel=1e-11)
+        assert 0 < VecMech(eps0=5.0, d=1, C=1.0).flip_prob < 0.5
 
     def test_uniform_at_eps0_zero(self):
-        mech = Rr2Mech(eps0=0.0)
-        rng = np.random.default_rng(0)
         n = 100_000
-        ones = sum(rr2_randomize(1, mech, rng) for _ in range(n))
         sigma = math.sqrt(0.25 / n)
-        assert abs(ones / n - 0.5) <= 3 * sigma
+        assert abs(self.positive_share(1e-9, n, 0) - 0.5) <= 3 * sigma
 
     def test_keep_rate_matches_closed_form(self):
-        mech = Rr2Mech(eps0=2.0)
-        rng = np.random.default_rng(1)
         n = 100_000
         keep = math.exp(2.0) / (math.exp(2.0) + 1.0)
-        kept = sum(rr2_randomize(1, mech, rng) for _ in range(n))
         sigma = math.sqrt(keep * (1 - keep) / n)
-        assert abs(kept / n - keep) <= 3 * sigma
+        assert abs(self.positive_share(2.0, n, 1) - keep) <= 3 * sigma
 
     def test_two_point_kernel_ratio_exact(self):
-        # P[out=b | in=b] / P[out=b | in=1-b] = e^{eps0} analytically.
+        # P[out=b | in=b] / P[out=b | in=1-b] = e^{eps0}.
         for eps0 in (0.5, 1.0, 3.0):
-            keep = math.exp(eps0) / (math.exp(eps0) + 1.0)
-            assert keep / (1 - keep) == pytest.approx(math.exp(eps0), rel=1e-12)
-
-    def test_bad_bit(self):
-        with pytest.raises(ValueError):
-            rr2_randomize(2, Rr2Mech(eps0=1.0), np.random.default_rng(0))
+            flip = VecMech(eps0=eps0, d=1, C=1.0).flip_prob
+            assert (1 - flip) / flip == pytest.approx(math.exp(eps0), rel=1e-12)
 
 
 class TestClip:
@@ -84,6 +85,18 @@ class TestVecMech:
     def test_eps0_zero_rejected(self):
         with pytest.raises(ValueError):
             VecMech(eps0=0.0, d=4, C=1.0)
+
+    def test_eps0_with_infinite_exp_rejected(self):
+        assert VecMech(eps0=700.0, d=4, C=1.0).scale == pytest.approx(4.0, rel=1e-15)
+        # At EPS0_MAX e^eps0 is finite but d C (e^eps0 + 1) is not.
+        for bad in (EPS0_MAX, 800.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                VecMech(eps0=bad, d=4, C=1.0)
+
+    def test_wrong_dimension_rejected(self):
+        mech = VecMech(eps0=1.0, d=3, C=1.0)
+        with pytest.raises(ValueError):
+            vec_randomize(np.zeros(2), mech, np.random.default_rng(0))
 
     def test_variance_bound_formula(self):
         mech = VecMech(eps0=2.0, d=8, C=0.5)

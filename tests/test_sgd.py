@@ -73,6 +73,22 @@ class TestProblems:
         np.testing.assert_array_equal(theta, problem.theta_star)
         assert f == problem.f_star
 
+    @pytest.mark.parametrize("loss", ["least_squares", "logistic"])
+    def test_converged_stop_matches_unstopped_solve(self, loss):
+        # tol = 0 runs until a step leaves theta unchanged or the iteration
+        # cap is reached; the default stop must give the same optimum.
+        build = least_squares_problem if loss == "least_squares" else logistic_problem
+        prob = build(n=300, d=6, seed=5)
+        _, f_full = solve_optimum(prob.features, prob.targets, prob.loss, prob.radius, tol=0.0)
+        assert prob.f_star == pytest.approx(f_full, rel=1e-15, abs=0.0)
+
+    def test_empty_problem_rejected(self):
+        for n, d in ((100, 0), (0, 5)):
+            with pytest.raises(ValueError):
+                least_squares_problem(n=n, d=d, seed=1)
+            with pytest.raises(ValueError):
+                logistic_problem(n=n, d=d, seed=1)
+
     def test_logistic_variant(self):
         prob = logistic_problem(n=200, d=4, seed=3)
         rng = np.random.default_rng(9)
@@ -95,6 +111,11 @@ class TestRunMechanics:
     def test_eps0_required_without_bypass(self):
         with pytest.raises(ValueError):
             SgdConfig(T=5, k=10, eps0=0.0, clip_radius=1.0)
+
+    def test_eps0_with_infinite_exp_rejected(self, problem):
+        for bad in (800.0, math.inf):
+            with pytest.raises(ValueError):
+                run(problem, SgdConfig(T=5, k=10, eps0=bad, clip_radius=1.0))
 
     def test_bypass_full_cohort_matches_reference_gd(self, problem):
         # Randomization disabled and k = n: the loop is projected batch

@@ -19,7 +19,6 @@ from .accountant import (
 )
 from .baselines import (
     ApproxDp,
-    BaselineConfig,
     amplify_by_subsampling,
     baseline_total,
     blanket_condition_ok,

@@ -9,7 +9,7 @@ comparison discussion are exposed as predicates.
 
 The delta budget is split half to the per-round shuffle steps (that half
 further divided by T) and half to the composition slack; this split is a
-policy choice of this package, configurable via BaselineConfig.
+fixed policy choice of this package.
 """
 
 from __future__ import annotations
@@ -19,27 +19,6 @@ from dataclasses import dataclass
 
 from .accountant import DpGuarantee, Provenance
 from .bounds import SubsampledShuffleParams, check_eps0
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """delta budget split for the baseline pipeline."""
-
-    delta_shuffle: float
-    delta_comp: float
-
-    def __post_init__(self):
-        for name, val in (("delta_shuffle", self.delta_shuffle), ("delta_comp", self.delta_comp)):
-            if not 0.0 < val < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {val}")
-        if not self.delta_shuffle + self.delta_comp < 1.0:
-            raise ValueError("delta components must total below 1")
-
-    @staticmethod
-    def even_split(delta: float) -> "BaselineConfig":
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        return BaselineConfig(delta_shuffle=delta / 2.0, delta_comp=delta / 2.0)
 
 
 @dataclass(frozen=True)
@@ -149,26 +128,21 @@ def strong_compose(g: ApproxDp, T: int, delta_slack: float) -> ApproxDp:
     )
 
 
-def baseline_total(
-    params: SubsampledShuffleParams,
-    T: int,
-    delta: float,
-    config: BaselineConfig | None = None,
-) -> DpGuarantee:
+def baseline_total(params: SubsampledShuffleParams, T: int, delta: float) -> DpGuarantee:
     """Full baseline pipeline over T rounds at overall budget delta.
 
-    Chains shuffle_amplify (per-round delta = delta_shuffle / T) through
-    amplify_by_subsampling and strong_compose.  The degenerate fallback
-    still flows through the two downstream steps; the flag on the result
-    records that the shuffle step was not amplified.
+    Chains shuffle_amplify (per-round delta = (delta / 2) / T) through
+    amplify_by_subsampling and strong_compose (slack delta / 2).  The
+    degenerate fallback still flows through the two downstream steps; the
+    flag on the result records that the shuffle step was not amplified.
     """
     if T < 1 or T != int(T):
         raise ValueError(f"T must be a positive integer, got {T}")
-    cfg = config if config is not None else BaselineConfig.even_split(delta)
-    per_round_delta = cfg.delta_shuffle / T
-    g = shuffle_amplify(params.eps0, params.k, per_round_delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    g = shuffle_amplify(params.eps0, params.k, delta / 2.0 / T)
     g = amplify_by_subsampling(g, params.gamma)
-    g = strong_compose(g, T, cfg.delta_comp)
+    g = strong_compose(g, T, delta / 2.0)
     return DpGuarantee(
         eps=g.eps,
         delta=g.delta,

@@ -136,6 +136,11 @@ def _log_2sinh(eps0: float) -> float:
     return eps0 + math.log1p(-math.exp(-2.0 * eps0))
 
 
+def _exp_or_inf(log_x: float) -> float:
+    """e^log_x, or +inf once it leaves float range (still a valid upper bound)."""
+    return math.exp(log_x) if log_x <= EPS0_MAX else math.inf
+
+
 def log_zeta_special(alpha: int, m: int, eps0: float) -> float:
     """ln of the special-case ternary bound; -inf at eps0 = 0."""
     if alpha < 2 or alpha != int(alpha):
@@ -160,8 +165,9 @@ def zeta_special(alpha: int, m: int, eps0: float) -> float:
 
     4 (e^{eps0}-1)^2 / (m e^{eps0}) at alpha = 2, otherwise
     alpha Gamma(alpha/2) (2 (e^{2 eps0}-1)^2 / (m e^{2 eps0}))^{alpha/2}.
+    +inf once the bound leaves float range.
     """
-    return math.exp(log_zeta_special(alpha, m, eps0))
+    return _exp_or_inf(log_zeta_special(alpha, m, eps0))
 
 
 def zeta_shuffle(alpha: int, k: int, eps0: float) -> ZetaBound:
@@ -178,9 +184,9 @@ def zeta_shuffle(alpha: int, k: int, eps0: float) -> ZetaBound:
     if eps0 == 0.0:
         return ZetaBound(alpha=int(alpha), value=0.0)
     kb = kbar(k, eps0)
-    main = math.exp(log_zeta_special(alpha, kb, eps0))
+    main = _exp_or_inf(log_zeta_special(alpha, kb, eps0))
     log_tail = alpha * _log_2sinh(eps0) - (k - 1) / (8.0 * math.exp(eps0))
-    return ZetaBound(alpha=int(alpha), value=main + math.exp(log_tail))
+    return ZetaBound(alpha=int(alpha), value=main + _exp_or_inf(log_tail))
 
 
 def _check_order(lam: int) -> int:

@@ -23,8 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .accountant import (
     DEFAULT_LAMBDA_MAX,
@@ -68,23 +69,14 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
-def _out_dir(args) -> Path:
-    if not args.out:
-        raise UsageError("--out is required")
-    out = Path(args.out)
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _guarantee_payload(g: DpGuarantee) -> dict:
-    return {
-        "eps": g.eps,
-        "delta": g.delta,
-        "provenance": g.provenance.value,
-        "argmin_lambda": g.argmin_lambda,
-        "eps_unclamped": g.eps_unclamped,
-        "degenerate": g.degenerate,
-    }
+    return dict(asdict(g), provenance=g.provenance.value)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -100,48 +92,92 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _merged(args, config: dict, key: str, default=None):
-    """Explicit flag wins; then the config file; then the default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+def number(text: str):
+    """A flag's text as a JSON number, '10' -> 10, '1e4' -> 10000.0 (argparse shows the name)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
-def _require(value, name: str):
-    if value is None:
-        raise UsageError(f"missing required parameter {name}")
-    return value
+def _to_float(value, name: str) -> float:
+    """value as a float; strings, booleans and containers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise UsageError(f"{name} is out of range, got {value!r}") from exc
 
 
 def _to_int(value, name: str) -> int:
-    """value as an int: integral spellings such as '1e4' pass, 2.5 does not."""
-    if isinstance(value, int):
+    """value as an int: integral spellings such as 1e4 pass, 2.5 does not."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = None
-    if x is None or not x.is_integer():
+    x = _to_float(value, name)
+    if not x.is_integer():
         raise UsageError(f"{name} must be an integer, got {value!r}")
     return int(x)
 
 
-def _int_arg(args, config: dict, key: str, default=None) -> Optional[int]:
-    """The merged value of an integer parameter, or None when it is unset."""
-    val = _merged(args, config, key, default)
-    return None if val is None else _to_int(val, f"--{key}")
+def _to_text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{name} must be a string, got {value!r}")
+    return value
 
 
-def _parse_values(raw: str, kind: str) -> list:
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a subcommand, named as argparse names it (``--eps0``,
+    or ``subcheck`` for a positional).  With ``config`` set, the name without
+    ``--`` is also its ``--config`` key.  ``metavar`` names the values of a
+    flag that takes several."""
+
+    name: str
+    kind: Callable[[object, str], object]
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    config: bool = True
+    metavar: Optional[tuple] = None
+    help: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
+
+
+def _resolve(params: Sequence[Param], args: argparse.Namespace) -> argparse.Namespace:
+    """Each parameter's value: the flag wins, then --config, then the default."""
+    config = _load_config(getattr(args, "config", None))
+    values = {}
+    for p in params:
+        value = getattr(args, p.dest)
+        if value is None and p.config:
+            value = config.get(p.name.lstrip("-"))
+        if value is None:
+            if p.required:
+                raise UsageError(f"missing required parameter {p.name}")
+            values[p.dest] = p.default
+            continue
+        value = [p.kind(x, p.name) for x in value] if p.metavar else p.kind(value, p.name)
+        if p.choices and value not in p.choices:
+            raise UsageError(f"{p.name} must be one of {', '.join(p.choices)}, got {value!r}")
+        values[p.dest] = value
+    return argparse.Namespace(**values)
+
+
+def _config_values(command: str, v: argparse.Namespace) -> dict:
+    """The resolved values of a command's --config keys, by argparse dest."""
+    return {p.dest: getattr(v, p.dest) for p in _COMMANDS[command][2] if p.config}
+
+
+def _parse_values(raw: str, kind) -> list:
     try:
-        vals = [float(v) for v in raw.split(",") if v.strip()]
+        vals = [number(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse values {raw!r}") from exc
-    if kind == "int":
-        vals = [_to_int(v, "every value") for v in vals]
+    vals = [kind(x, "every value") for x in vals]
     if not vals:
         raise UsageError("values list is empty")
     if any(v <= 0 for v in vals):
@@ -151,7 +187,7 @@ def _parse_values(raw: str, kind: str) -> list:
     return vals
 
 
-def _log_range(start: float, stop: float, points: int, kind: str) -> list:
+def _log_range(start: float, stop: float, points: int, kind) -> list:
     if points < 1 or start <= 0 or stop < start:
         raise UsageError("log range requires 0 < start <= stop and points >= 1")
     if points == 1:
@@ -159,9 +195,8 @@ def _log_range(start: float, stop: float, points: int, kind: str) -> list:
     else:
         ratio = (stop / start) ** (1.0 / (points - 1))
         grid = [start * ratio**i for i in range(points)]
-    if kind == "int":
-        vals = sorted({int(round(v)) for v in grid})
-        return vals
+    if kind is _to_int:
+        return sorted({int(round(v)) for v in grid})
     return grid
 
 
@@ -178,7 +213,7 @@ def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
         parts = ln.split(",")
         if len(parts) < 2:
             raise UsageError(f"malformed curve row {ln!r}")
-        entries.append((_to_int(parts[0], "curve order"), float(parts[1])))
+        entries.append((_to_int(float(parts[0]), "curve order"), float(parts[1])))
     if not entries:
         raise UsageError(f"curve file {path} holds no entries")
     return RdpCurve(entries=tuple(entries), kind=kind, params=None)
@@ -189,62 +224,43 @@ def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
 # ----------------------------------------------------------------------
 
 
-def cmd_bound(args, config: dict) -> int:
-    eps0 = _require(_merged(args, config, "eps0"), "--eps0")
-    k = _require(_int_arg(args, config, "k"), "--k")
-    n = _require(_int_arg(args, config, "n"), "--n")
-    params = SubsampledShuffleParams(n=n, k=k, eps0=eps0)
-    if params.k < 2:
-        raise UsageError("the upper bound requires k >= 2")
-    if args.lambdas:
-        lambdas = _parse_values(args.lambdas, "int")
+def cmd_bound(v) -> int:
+    params = SubsampledShuffleParams(n=v.n, k=v.k, eps0=v.eps0)
+    if v.lambdas:
+        lambdas = _parse_values(v.lambdas, _to_int)
+    elif v.lambda_max is None:
+        raise UsageError("provide --lambdas or --lambda-max")
     else:
-        lo = _int_arg(args, config, "lambda-min", 2)
-        hi = _int_arg(args, config, "lambda-max")
-        if hi is None:
-            raise UsageError("provide --lambdas or --lambda-max")
-        lambdas = list(range(lo, hi + 1))
+        lambdas = list(range(v.lambda_min, v.lambda_max + 1))
     if not lambdas:
         raise UsageError("empty order range")
-    if any(l < 2 for l in lambdas):
-        raise UsageError("orders must be >= 2")
-    out = _out_dir(args)
-
     rows = [
         f"{lam},{_fmt(rdp_upper(lam, params))},{_fmt(rdp_lower(lam, params))}"
         for lam in lambdas
     ]
+    out = _out_dir(v.out)
     _write_csv(out / "bound.csv", "lambda,eps_upper,eps_lower", rows)
     _write_json(
         out / "bound.meta.json",
-        {"command": "bound", "eps0": eps0, "k": k, "n": n, "lambdas": lambdas},
+        {"command": "bound", "eps0": v.eps0, "k": v.k, "n": v.n, "lambdas": lambdas},
     )
     return 0
 
 
-def cmd_convert(args, config: dict) -> int:
-    delta = float(_require(_merged(args, config, "delta"), "--delta"))
-    if not 0.0 < delta < 1.0:
-        raise UsageError(f"delta must lie in (0, 1), got {delta}")
-    curve = _read_curve(_require(args.curve, "--curve"), CurveKind(args.kind))
-    out = _out_dir(args)
-    g = rdp_to_dp(curve, delta)
-    _write_json(out / "convert.json", _guarantee_payload(g))
+def cmd_convert(v) -> int:
+    g = rdp_to_dp(_read_curve(v.curve, CurveKind(v.kind)), v.delta)
+    _write_json(_out_dir(v.out) / "convert.json", _guarantee_payload(g))
     return 0
 
 
-def cmd_compose(args, config: dict) -> int:
-    T = _require(_int_arg(args, config, "T"), "--T")
-    if T < 1:
-        raise UsageError("--T must be a positive integer")
-    curve = _read_curve(_require(args.curve, "--curve"), CurveKind(args.kind))
-    out = _out_dir(args)
-    composed = compose_curve(curve, T)
+def cmd_compose(v) -> int:
+    composed = compose_curve(_read_curve(v.curve, CurveKind(v.kind)), v.T)
     rows = [f"{lam},{_fmt(eps)}" for lam, eps in composed.entries]
+    out = _out_dir(v.out)
     _write_csv(out / "composed.csv", "lambda,eps", rows)
     _write_json(
         out / "composed.meta.json",
-        {"command": "compose", "T": T, "kind": args.kind, "source": str(args.curve)},
+        {"command": "compose", "T": v.T, "kind": v.kind, "source": v.curve},
     )
     return 0
 
@@ -261,152 +277,135 @@ def _compare_point(
     return _fmt(ours.eps), base_cell, _fmt(lower_eps)
 
 
-def cmd_compare(args, config: dict) -> int:
-    axis = _require(_merged(args, config, "axis"), "--axis")
-    if axis == "lambda":
-        raise UsageError("axis 'lambda' belongs to `bound`; compare sweeps T, n or eps0")
-    if axis not in ("T", "n", "eps0"):
-        raise UsageError(f"unknown axis {axis!r}")
-    value_kind = "float" if axis == "eps0" else "int"
-    if args.values:
-        values = _parse_values(args.values, value_kind)
-    elif args.log_range:
-        start, stop, points = args.log_range
-        values = _log_range(
-            float(start), float(stop), _to_int(points, "--log-range POINTS"), value_kind
-        )
+def cmd_compare(v) -> int:
+    kind = _to_float if v.axis == "eps0" else _to_int
+    if v.values:
+        values = _parse_values(v.values, kind)
+    elif v.log_range:
+        start, stop, points = v.log_range
+        values = _log_range(start, stop, _to_int(points, "--log-range POINTS"), kind)
     else:
         raise UsageError("provide --values or --log-range")
-
-    T = _merged(args, config, "T")
-    eps0 = _merged(args, config, "eps0")
-    n = _merged(args, config, "n")
-    delta = float(_require(_merged(args, config, "delta"), "--delta"))
-    lambda_max = _int_arg(args, config, "lambda-max", DEFAULT_LAMBDA_MAX)
-    if axis != "T":
-        T = _require(_int_arg(args, config, "T"), "--T")
-    if axis != "eps0":
-        eps0 = float(_require(eps0, "--eps0"))
-    if axis != "n":
-        n = _require(_int_arg(args, config, "n"), "--n")
-    k = _require(_int_arg(args, config, "k"), "--k")
-    if k < 2:
-        raise UsageError("compare requires k >= 2")
+    fixed = _config_values("compare", v)
+    for name in ("T", "n", "eps0"):
+        if name != v.axis and fixed[name] is None:
+            raise UsageError(f"missing required parameter --{name}")
 
     # Validate every point before computing anything (no partial outputs).
     points = [
         (
-            SubsampledShuffleParams(
-                n=v if axis == "n" else n, k=k, eps0=v if axis == "eps0" else eps0
-            ),
-            AccountantConfig(T=v if axis == "T" else T, delta=delta, lambda_max=lambda_max),
+            SubsampledShuffleParams(n=at["n"], k=at["k"], eps0=at["eps0"]),
+            AccountantConfig(T=at["T"], delta=at["delta"], lambda_max=at["lambda_max"]),
         )
-        for v in values
+        for at in (dict(fixed, **{v.axis: x}) for x in values)
     ]
     results = [_compare_point(params, cfg) for params, cfg in points]
-    out = _out_dir(args)
-    axis_fmt = str if value_kind == "int" else _fmt
+    axis_fmt = str if kind is _to_int else _fmt
     rows = [
-        f"{axis_fmt(v)},{ours},{base},{lower}"
-        for v, (ours, base, lower) in zip(values, results)
+        f"{axis_fmt(x)},{ours},{base},{lower}"
+        for x, (ours, base, lower) in zip(values, results)
     ]
+    out = _out_dir(v.out)
     _write_csv(out / "compare.csv", "axis_value,eps_ours,eps_baseline,eps_lower_ref", rows)
-    _write_json(
-        out / "compare.meta.json",
-        {
-            "command": "compare",
-            "axis": axis,
-            "values": values,
-            "T": T,
-            "eps0": eps0,
-            "k": k,
-            "n": n,
-            "delta": delta,
-            "lambda_max": lambda_max,
-        },
-    )
+    _write_json(out / "compare.meta.json", dict(fixed, command="compare", values=values))
     return 0
 
 
-def cmd_simulate(args, config: dict) -> int:
-    loss = _merged(args, config, "loss", sgd.LOSS_LEAST_SQUARES)
-    d = _int_arg(args, config, "d", 10)
-    n = _int_arg(args, config, "n", 1000)
-    radius = float(_merged(args, config, "radius", 1.0))
-    problem_seed = _int_arg(args, config, "problem-seed", 7)
-    T = _require(_int_arg(args, config, "T"), "--T")
-    k = _require(_int_arg(args, config, "k"), "--k")
-    eps0 = float(_require(_merged(args, config, "eps0"), "--eps0"))
-    clip_radius = _merged(args, config, "clip-radius")
-    delta = float(_merged(args, config, "delta", 1e-8))
-    seed = _int_arg(args, config, "seed", 0)
-    schedule = _merged(args, config, "schedule", sgd.SCHEDULE_PAPER)
-    eta = _merged(args, config, "eta")
-    record_every = _int_arg(args, config, "record-every")
-
-    if loss == sgd.LOSS_LEAST_SQUARES:
-        problem = sgd.least_squares_problem(n=n, d=d, seed=problem_seed, radius=radius)
-    elif loss == sgd.LOSS_LOGISTIC:
-        problem = sgd.logistic_problem(n=n, d=d, seed=problem_seed, radius=radius)
-    else:
-        raise UsageError(f"unknown loss {loss!r}")
-    if clip_radius is None:
-        clip_radius = problem.lipschitz  # clipping provably inactive
-    cfg = sgd.SgdConfig(
-        T=T,
-        k=k,
-        eps0=eps0,
-        clip_radius=float(clip_radius),
-        delta=delta,
-        seed=seed,
-        schedule=schedule,
-        eta=None if eta is None else float(eta),
-        record_every=record_every,
+def cmd_simulate(v) -> int:
+    make_problem = (
+        sgd.logistic_problem if v.loss == sgd.LOSS_LOGISTIC else sgd.least_squares_problem
     )
-    report = sgd.run(problem, cfg)
-    out = _out_dir(args)
+    problem = make_problem(n=v.n, d=v.d, seed=v.problem_seed, radius=v.radius)
+    if v.clip_radius is None:
+        v.clip_radius = problem.lipschitz  # clipping provably inactive
+    run_keys = {f.name for f in fields(sgd.SgdConfig)}
+    report = sgd.run(problem, sgd.SgdConfig(**{k: x for k, x in vars(v).items() if k in run_keys}))
     rows = [
         f"{t},{_fmt(obj)}" for t, obj in zip(report.rounds, report.objectives)
     ]
-    _write_csv(out / "trajectory.csv", "round,objective", rows)
+    config = _config_values("simulate", v)
+    del config["record_every"]  # a sampling choice of the trajectory, not of the run
     payload = {
         "final_suboptimality": report.final_suboptimality,
         "grad_second_moment": report.grad_second_moment,
         "privacy": None if report.privacy is None else _guarantee_payload(report.privacy),
-        "config": {
-            "loss": loss,
-            "d": d,
-            "n": n,
-            "radius": radius,
-            "problem_seed": problem_seed,
-            "T": T,
-            "k": k,
-            "eps0": eps0,
-            "clip_radius": float(clip_radius),
-            "delta": delta,
-            "seed": seed,
-            "schedule": schedule,
-            "eta": eta,
-        },
+        "config": config,
     }
+    out = _out_dir(v.out)
+    _write_csv(out / "trajectory.csv", "round,objective", rows)
     _write_json(out / "privacy.json", payload)
     return 0
 
 
-def cmd_oracle(args, config: dict) -> int:
-    name = args.subcheck
-    if name not in ALL_CHECKS:
-        raise UsageError(
-            f"unknown subcheck {name!r}; choose from {', '.join(sorted(ALL_CHECKS))}"
-        )
-    result = ALL_CHECKS[name]()
+def cmd_oracle(v) -> int:
+    result = ALL_CHECKS[v.subcheck]()
     print(result.summary())
     return 0 if result.passed else 1
 
 
 # ----------------------------------------------------------------------
-# Parser
+# The parameter table: it builds the subparsers, and _resolve merges and
+# coerces each value from it (flag, then --config, then the default).
 # ----------------------------------------------------------------------
+
+_CONFIG = Param("--config", _to_text, config=False, help="JSON config file; flags override it")
+_OUT = Param("--out", _to_text, required=True, config=False, help="directory for output files")
+_CURVE = Param("--curve", _to_text, required=True, config=False)
+_KIND = Param("--kind", _to_text, "upper", choices=("upper", "lower", "exact"), config=False)
+
+_COMMANDS: dict[str, tuple[Callable, str, tuple[Param, ...]]] = {
+    "bound": (cmd_bound, "tabulate upper/lower RDP bounds", (
+        _CONFIG, _OUT,
+        Param("--eps0", _to_float, required=True),
+        Param("--k", _to_int, required=True),
+        Param("--n", _to_int, required=True),
+        Param("--lambda-min", _to_int, 2),
+        Param("--lambda-max", _to_int),
+        Param("--lambdas", _to_text, config=False, help="explicit comma-separated orders"),
+    )),
+    "convert": (cmd_convert, "curve CSV -> (eps, delta) guarantee", (
+        _CONFIG, _OUT, _CURVE, _KIND,
+        Param("--delta", _to_float, required=True),
+    )),
+    "compose": (cmd_compose, "scale a curve by a round count", (
+        _CONFIG, _OUT, _CURVE, _KIND,
+        Param("--T", _to_int, required=True),
+    )),
+    "compare": (cmd_compare, "sweep an axis: ours vs baseline vs lower ref", (
+        _CONFIG, _OUT,
+        Param("--axis", _to_text, required=True, choices=("T", "n", "eps0")),
+        Param("--values", _to_text, config=False, help="explicit comma-separated axis values"),
+        Param("--log-range", _to_float, config=False, metavar=("START", "STOP", "POINTS")),
+        Param("--T", _to_int),
+        Param("--eps0", _to_float),
+        Param("--k", _to_int, required=True),
+        Param("--n", _to_int),
+        Param("--delta", _to_float, required=True),
+        Param("--lambda-max", _to_int, DEFAULT_LAMBDA_MAX),
+    )),
+    "simulate": (cmd_simulate, "run the private SGD simulator", (
+        _CONFIG, _OUT,
+        Param("--loss", _to_text, sgd.LOSS_LEAST_SQUARES,
+              choices=(sgd.LOSS_LEAST_SQUARES, sgd.LOSS_LOGISTIC)),
+        Param("--d", _to_int, 10),
+        Param("--n", _to_int, 1000),
+        Param("--radius", _to_float, 1.0),
+        Param("--problem-seed", _to_int, 7),
+        Param("--T", _to_int, required=True),
+        Param("--k", _to_int, required=True),
+        Param("--eps0", _to_float, required=True),
+        Param("--clip-radius", _to_float),
+        Param("--delta", _to_float, 1e-8),
+        Param("--seed", _to_int, 0),
+        Param("--schedule", _to_text, sgd.SCHEDULE_PAPER,
+              choices=(sgd.SCHEDULE_PAPER, sgd.SCHEDULE_CONSTANT)),
+        Param("--eta", _to_float),
+        Param("--record-every", _to_int),
+    )),
+    "oracle": (cmd_oracle, "run a named invariant suite", (
+        Param("subcheck", _to_text, required=True, choices=tuple(sorted(ALL_CHECKS)), config=False),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -415,81 +414,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Renyi-DP accounting for the subsampled shuffle mechanism",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory for generated files")
-
-    p = sub.add_parser("bound", help="tabulate upper/lower RDP bounds")
-    add_common(p)
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda-min", type=int, dest="lambda_min")
-    p.add_argument("--lambda-max", type=int, dest="lambda_max")
-    p.add_argument("--lambdas", help="explicit comma-separated orders")
-
-    p = sub.add_parser("convert", help="curve CSV -> (eps, delta) guarantee")
-    add_common(p)
-    p.add_argument("--curve")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--kind", choices=["upper", "lower", "exact"], default="upper")
-
-    p = sub.add_parser("compose", help="scale a curve by a round count")
-    add_common(p)
-    p.add_argument("--curve")
-    p.add_argument("--T", type=int, dest="T")
-    p.add_argument("--kind", choices=["upper", "lower", "exact"], default="upper")
-
-    p = sub.add_parser("compare", help="sweep an axis: ours vs baseline vs lower ref")
-    add_common(p)
-    p.add_argument("--axis", choices=["T", "n", "eps0", "lambda"])
-    p.add_argument("--values", help="explicit comma-separated axis values")
-    p.add_argument(
-        "--log-range",
-        nargs=3,
-        metavar=("START", "STOP", "POINTS"),
-        dest="log_range",
-    )
-    p.add_argument("--T", type=int, dest="T")
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--lambda-max", type=int, dest="lambda_max")
-
-    p = sub.add_parser("simulate", help="run the private SGD simulator")
-    add_common(p)
-    p.add_argument("--loss", choices=[sgd.LOSS_LEAST_SQUARES, sgd.LOSS_LOGISTIC])
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--problem-seed", type=int, dest="problem_seed")
-    p.add_argument("--T", type=int, dest="T")
-    p.add_argument("--k", type=int)
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--clip-radius", type=float, dest="clip_radius")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--schedule", choices=[sgd.SCHEDULE_PAPER, sgd.SCHEDULE_CONSTANT])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--record-every", type=int, dest="record_every")
-
-    p = sub.add_parser("oracle", help="run a named invariant suite")
-    add_common(p)
-    p.add_argument("subcheck")
-
+    for command, (_, help_text, params) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for param in params:
+            kw = dict(choices=param.choices or None, help=param.help)
+            if param.kind in (_to_int, _to_float):
+                kw["type"] = number
+            if param.metavar:
+                kw.update(nargs=len(param.metavar), metavar=param.metavar)
+            if param.name.startswith("--"):
+                kw["required"] = param.required and not param.config
+            p.add_argument(param.name, **kw)
     return parser
-
-
-_COMMANDS = {
-    "bound": cmd_bound,
-    "convert": cmd_convert,
-    "compose": cmd_compose,
-    "compare": cmd_compare,
-    "simulate": cmd_simulate,
-    "oracle": cmd_oracle,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -498,9 +434,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    run, _, params = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        return run(_resolve(params, args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

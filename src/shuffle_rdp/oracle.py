@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, check_eps0
 from .logspace import binom_log_pmf
@@ -33,6 +34,8 @@ HIST_MAX_B = 4
 EXACT_2RR_MAX_K = 10_000
 
 _PROB_SUM_TOL = 1e-12
+#: Largest lambda ln(1 + x) summed in linear space; e^700 is still finite.
+_LOG_SUM_SWITCH = 700.0
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,9 @@ def exact_rdp_2rr_subshuffle(lam: int, params: SubsampledShuffleParams) -> float
 
     D_lambda(M(D') || M(D)) with M(D) = mu0 and M(D') = gamma mu1 +
     (1-gamma) mu0 (the differing client joins the cohort with probability
-    gamma), by direct summation over the ones-count m.
+    gamma), by direct summation over the ones-count m.  While every
+    lambda ln(1 + x_m) stays below _LOG_SUM_SWITCH the sum runs in linear
+    space, past that in log space, where the terms cannot overflow.
     """
     if lam != int(lam) or lam < 2:
         raise ValueError(f"order lambda must be an integer >= 2, got {lam}")
@@ -131,8 +136,11 @@ def exact_rdp_2rr_subshuffle(lam: int, params: SubsampledShuffleParams) -> float
     p = 1.0 / (math.exp(eps0) + 1.0)
     log_mu0 = binom_log_pmf(k, p)
     x = gamma * _rr2_ratio_minus_one(k, eps0)  # M(D')/M(D) - 1 >= -1
-    s = math.fsum(np.exp(log_mu0) * np.expm1(lam * np.log1p(x)))
-    return math.log1p(s) / (lam - 1)
+    log_ratio_pow = lam * np.log1p(x)
+    if float(np.max(log_ratio_pow)) < _LOG_SUM_SWITCH:
+        s = math.fsum(np.exp(log_mu0) * np.expm1(log_ratio_pow))
+        return math.log1p(s) / (lam - 1)
+    return float(logsumexp(log_mu0 + log_ratio_pow)) / (lam - 1)
 
 
 def exact_rdp_2rr_curve(

@@ -2,14 +2,15 @@
 
 Each round samples k of n clients without replacement; every sampled
 client computes its per-sample gradient, clips it in l-infinity norm,
-and randomizes it with the vector mechanism; a seeded permutation stands
-in for the shuffler; the server averages the k reports and takes a
-projected step on an l2 ball.  The attached privacy report is exactly
-the accountant's output for the same (n, k, eps0, T, delta).
+and randomizes it with the vector mechanism; the server averages the k
+reports and takes a projected step on an l2 ball.  The attached privacy
+report is exactly the accountant's output for the same (n, k, eps0, T,
+delta).
 
-Aggregation uses exact per-coordinate fsum, so the shuffling permutation
-provably cannot change the average (correct rounding is order-free) and
-runs are reproducible bit-for-bit from the seed.
+The server uses only the mean report, which the shuffler's permutation
+cannot change: aggregation uses exact per-coordinate fsum, and correct
+rounding is order-free.  So no permutation is drawn, and runs are
+reproducible bit-for-bit from the seed.
 """
 
 from __future__ import annotations
@@ -223,6 +224,8 @@ class SgdConfig:
             self.eta is not None and self.eta > 0
         ):
             raise ValueError("constant schedule requires a positive eta")
+        if self.eta is not None and not math.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         if not (self.bypass_randomizer or self.eps0 > 0):
             raise ValueError("eps0 must be positive unless the randomizer is bypassed")
         if not 0.0 < self.delta < 1.0:
@@ -284,18 +287,14 @@ def aggregate_round(
     mech: Optional[VecMech],
     cfg: SgdConfig,
     t: int,
-    shuffle: bool = True,
 ) -> np.ndarray:
-    """One round's mean report: gradients, clipping, randomization, shuffle."""
+    """One round's mean report: gradients, clipping, randomization."""
     grads = problem.sample_grads(theta, idx)
     clipped = clip_batch(grads, cfg.clip_radius, "linf")
     if mech is None:
         reports = clipped
     else:
         reports = vec_randomize_batch(clipped, mech, _round_rng(cfg.seed, t, 1))
-    if shuffle:
-        perm = _round_rng(cfg.seed, t, 2).permutation(len(idx))
-        reports = reports[perm]
     return _fsum_mean(reports)
 
 

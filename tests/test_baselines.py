@@ -5,7 +5,6 @@ import pytest
 from shuffle_rdp.accountant import Provenance
 from shuffle_rdp.baselines import (
     ApproxDp,
-    BaselineConfig,
     amplify_by_subsampling,
     baseline_total,
     blanket_condition_ok,
@@ -163,8 +162,3 @@ class TestBaselineTotal:
         g = baseline_total(params(10**6, 1000, 3.0), 10**5, 1e-8)
         assert g.degenerate is True
 
-    def test_config_split_validated(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(delta_shuffle=0.7, delta_comp=0.7)
-        cfg = BaselineConfig.even_split(1e-8)
-        assert cfg.delta_shuffle == cfg.delta_comp == 5e-9

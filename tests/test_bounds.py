@@ -132,6 +132,11 @@ class TestZetaSpecial:
         with pytest.raises(ValueError):
             zeta_special(2.5, 10, 1.0)
 
+    @pytest.mark.parametrize("alpha", [300, 1000])
+    def test_infinite_past_float_range(self, alpha):
+        # The bound leaves float range; +inf is still a valid upper bound.
+        assert zeta_special(alpha, 1, 2.0) == math.inf
+
 
 class TestZetaShuffle:
     def test_zero_at_eps0_zero(self):
@@ -166,6 +171,10 @@ class TestZetaShuffle:
             zeta_shuffle(2, 1, 1.0)
         with pytest.raises(ValueError):
             zeta_shuffle(1, 10, 1.0)
+
+    @pytest.mark.parametrize("alpha", [300, 1000])
+    def test_infinite_past_float_range(self, alpha):
+        assert zeta_shuffle(alpha, 2, 2.0).value == math.inf
 
 
 class TestRdpUpper:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shuffle_rdp.cli import main
+from shuffle_rdp.cli import _COMMANDS, main
 
 # ln(1/1e-6) - ln 4, the single-entry conversion at lambda = 2, eps = 0.
 SINGLE_ENTRY_LAM2_DELTA1E6 = 12.429216196844383
@@ -324,6 +324,134 @@ class TestRejectedInputs:
              "--eps0", "2", "--out", str(out)],
             out,
         )
+
+
+CONFIG_WRONG_TYPES = [
+    ("bound", ["--k", "100", "--n", "10000", "--lambda-max", "4"], {"eps0": "2"}),
+    ("bound", ["--k", "100", "--n", "10000", "--lambda-max", "4"], {"eps0": True}),
+    ("convert", ["--curve", "CURVE"], {"delta": [1]}),
+    ("simulate", ["--T", "5", "--k", "10", "--n", "100", "--eps0", "2"], {"radius": [1]}),
+    ("simulate", ["--T", "5", "--k", "10", "--n", "100", "--eps0", "2"], {"clip-radius": {}}),
+]
+
+
+class TestRejectedConfigAndFlagTypes:
+    @pytest.mark.parametrize("command, flags, cfg", CONFIG_WRONG_TYPES)
+    def test_wrong_config_type(self, tmp_path, capsys, command, flags, cfg):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("lambda,eps\n2,1.0e-03\n", newline="\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        flags = [str(curve) if f == "CURVE" else f for f in flags]
+        out = tmp_path / "o"
+        argv = [command, *flags, "--config", str(cfg_path), "--out", str(out)]
+        assert_usage_error(capsys, argv, out, says=next(iter(cfg)))
+
+    def test_infinite_eta(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["simulate", "--T", "5", "--k", "10", "--n", "100", "--eps0", "2",
+             "--schedule", "constant", "--eta", "inf", "--out", str(out)],
+            out,
+            says="eta",
+        )
+
+    def test_fractional_rounds_flag(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["simulate", "--T", "2.5", "--k", "10", "--n", "100", "--eps0", "2",
+             "--out", str(out)],
+            out,
+            says="--T",
+        )
+
+    def test_integral_spelling_of_rounds_flag(self, tmp_path):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("lambda,eps\n2,1.0e-03\n", newline="\n")
+        assert main(["compose", "--curve", str(curve), "--T", "1e5", "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "composed.meta.json").read_text())
+        assert meta["T"] == 100000 and isinstance(meta["T"], int)
+
+
+# Every --config key of every command, with two values that must give
+# different outputs.  Base flags for the other parameters are below.
+TABLE_VALUES = {
+    ("bound", "eps0"): (1.0, 2.0),
+    ("bound", "k"): (20, 30),
+    ("bound", "n"): (200, 300),
+    ("bound", "lambda-min"): (2, 3),
+    ("bound", "lambda-max"): (4, 5),
+    ("convert", "delta"): (1e-6, 1e-5),
+    ("compose", "T"): (10, 20),
+    ("compare", "axis"): ("eps0", "T"),
+    ("compare", "T"): (100, 200),
+    ("compare", "eps0"): (1.0, 2.0),
+    ("compare", "k"): (20, 30),
+    ("compare", "n"): (10000, 20000),
+    ("compare", "delta"): (1e-8, 1e-6),
+    ("compare", "lambda-max"): (16, 24),
+    ("simulate", "loss"): ("least_squares", "logistic"),
+    ("simulate", "d"): (3, 4),
+    ("simulate", "n"): (100, 120),
+    ("simulate", "radius"): (1.0, 2.0),
+    ("simulate", "problem-seed"): (7, 8),
+    ("simulate", "T"): (10, 12),
+    ("simulate", "k"): (10, 12),
+    ("simulate", "eps0"): (2.0, 3.0),
+    ("simulate", "clip-radius"): (0.5, 1.0),
+    ("simulate", "delta"): (1e-8, 1e-6),
+    ("simulate", "seed"): (0, 1),
+    ("simulate", "schedule"): ("paper", "constant"),
+    ("simulate", "eta"): (0.1, 0.2),
+    ("simulate", "record-every"): (2, 3),
+}
+TABLE_BASE = {
+    "bound": {"eps0": 1.0, "k": 20, "n": 200, "lambda-max": 4},
+    "convert": {"delta": 1e-6},
+    "compose": {"T": 10},
+    "compare": {"axis": "eps0", "values": "1", "T": 100, "eps0": 1.0, "k": 20,
+                "n": 10000, "delta": 1e-8, "lambda-max": 16},
+    "simulate": {"T": 10, "k": 10, "n": 100, "d": 3, "eps0": 2.0, "eta": 0.1},
+}
+
+
+def test_table_values_cover_every_config_key():
+    keys = {
+        (command, p.name.lstrip("-"))
+        for command, (_, _, params) in _COMMANDS.items()
+        for p in params
+        if p.config
+    }
+    assert keys == set(TABLE_VALUES)
+
+
+@pytest.mark.parametrize("command, key", sorted(TABLE_VALUES))
+def test_flag_and_config_key_agree(tmp_path, command, key):
+    """A value set by flag or by config writes the same files; the flag wins."""
+    curve = tmp_path / "curve.csv"
+    curve.write_text("lambda,eps\n2,1.0e-03\n4,2.0e-03\n", newline="\n")
+    base = {k: v for k, v in TABLE_BASE[command].items() if k != key}
+    argv = [command, *[x for k, v in base.items() for x in (f"--{k}", str(v))]]
+    if command in ("convert", "compose"):
+        argv += ["--curve", str(curve)]
+    a, b = TABLE_VALUES[(command, key)]
+
+    def run(tag, flag=None, cfg=None):
+        out = tmp_path / tag
+        extra = [] if flag is None else [f"--{key}", str(flag)]
+        if cfg is not None:
+            path = tmp_path / f"{tag}.json"
+            path.write_text(json.dumps({key: cfg}))
+            extra += ["--config", str(path)]
+        assert main(argv + extra + ["--out", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    by_flag = run("flag", flag=a)
+    assert run("config", cfg=a) == by_flag
+    assert run("both", flag=a, cfg=b) == by_flag
+    assert run("other", cfg=b) != by_flag
 
 
 class TestOracle:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from shuffle_rdp.bounds import SubsampledShuffleParams, zeta_special
+from shuffle_rdp.bounds import SubsampledShuffleParams, rdp_lower, zeta_special
 from shuffle_rdp.logspace import binom_log_pmf
 from shuffle_rdp.oracle import (
     EXACT_2RR_MAX_K,
@@ -107,6 +107,15 @@ class TestExact2rr:
         c = exact_rdp_2rr_curve(params(100, 10, 1.0), [2, 3, 4])
         assert c.kind.value == "exact"
         assert c.lambdas() == [2, 3, 4]
+
+    @pytest.mark.parametrize("eps0, lam", [(10.0, 128), (20.0, 64), (100.0, 8)])
+    def test_finite_where_linear_sum_overflows(self, eps0, lam):
+        # lambda ln(1 + x) passes 700 here, so the sum runs in log space;
+        # the lower bound is exact for this instance.
+        p = params(100, 10, eps0)
+        val = exact_rdp_2rr_subshuffle(lam, p)
+        assert math.isfinite(val)
+        assert val == pytest.approx(rdp_lower(lam, p), rel=1e-9)
 
     def test_order_monotone(self):
         p = params(500, 50, 1.0)

@@ -7,8 +7,10 @@ import pytest
 
 from shuffle_rdp.accountant import AccountantConfig, total_privacy
 from shuffle_rdp.bounds import SubsampledShuffleParams
+from shuffle_rdp.mechanisms import clip_batch, vec_randomize_batch
 from shuffle_rdp.sgd import (
     SgdConfig,
+    _fsum_mean,
     aggregate_round,
     convergence_ceiling,
     grad_second_moment_check,
@@ -108,6 +110,11 @@ class TestRunMechanics:
         with pytest.raises(ValueError):
             run(problem, cfg)
 
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            SgdConfig(T=5, k=10, eps0=1.0, clip_radius=1.0, schedule="constant", eta=eta)
+
     def test_eps0_required_without_bypass(self):
         with pytest.raises(ValueError):
             SgdConfig(T=5, k=10, eps0=0.0, clip_radius=1.0)
@@ -143,18 +150,18 @@ class TestRunMechanics:
         assert report.privacy is None  # bypass means no finite eps0 claim
 
     def test_shuffle_invariance_exact(self, problem):
-        # The permutation before aggregation cannot change the average:
+        # The shuffler's permutation cannot change the mean report:
         # per-coordinate sums are correctly rounded, hence order-free.
         from shuffle_rdp.mechanisms import VecMech
 
-        cfg = SgdConfig(T=1, k=50, eps0=2.0, clip_radius=problem.lipschitz, seed=11)
         mech = VecMech(eps0=2.0, d=problem.d, C=problem.lipschitz)
         rng = np.random.default_rng(12)
         theta = project(rng.normal(size=problem.d), problem.radius)
         idx = rng.choice(problem.n, size=50, replace=False)
-        with_shuffle = aggregate_round(problem, theta, idx, mech, cfg, t=1, shuffle=True)
-        without = aggregate_round(problem, theta, idx, mech, cfg, t=1, shuffle=False)
-        np.testing.assert_array_equal(with_shuffle, without)
+        clipped = clip_batch(problem.sample_grads(theta, idx), problem.lipschitz, "linf")
+        reports = vec_randomize_batch(clipped, mech, rng)
+        shuffled = reports[np.random.default_rng(13).permutation(len(reports))]
+        np.testing.assert_array_equal(_fsum_mean(shuffled), _fsum_mean(reports))
 
     def test_unbiased_aggregate(self, problem):
         # Fixed model point, clipping inactive: the mean report is an

@@ -41,14 +41,7 @@ from .bounds import (
     zeta_special,
 )
 from .logspace import SignedLog, log_binomial
-from .mechanisms import (
-    VecMech,
-    clip,
-    clip_batch,
-    vec_kernel,
-    vec_randomize,
-    vec_randomize_batch,
-)
+from .mechanisms import VecMech, clip_batch, vec_kernel, vec_randomize_batch
 from .oracle import (
     FiniteDist,
     HistogramDist,

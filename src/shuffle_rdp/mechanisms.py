@@ -1,4 +1,4 @@
-"""A discrete eps0-LDP randomizer and gradient clipping.
+"""A discrete eps0-LDP randomizer and l-infinity gradient clipping.
 
 The randomizer is unbiased for inputs in an l-infinity ball.  It picks
 one coordinate uniformly, stochastically quantizes it to {-C, +C},
@@ -6,7 +6,8 @@ randomizes that sign bit with binary randomized response, and rescales so
 the output is unbiased.  Its output alphabet has 2d points, its
 worst-case second moment matches C^2 d^2 ((e^{eps0}+1)/(e^{eps0}-1))^2,
 and its kernel satisfies the eps0 likelihood-ratio bound with equality at
-the ball surface.
+the ball surface.  Clipping and randomization act on (k, d) batches, one
+client per row.
 
 Randomness is always a caller-owned numpy Generator; mechanism objects
 are immutable and shareable across threads.
@@ -22,32 +23,12 @@ import numpy as np
 from .bounds import check_eps0
 
 
-def clip(x: np.ndarray, C: float, norm: str = "linf") -> np.ndarray:
-    """x / max(1, ||x|| / C) for the l-infinity or l2 norm."""
-    if not C > 0:
-        raise ValueError(f"clip radius must be positive, got {C}")
-    x = np.asarray(x, dtype=np.float64)
-    if norm == "linf":
-        nrm = float(np.max(np.abs(x))) if x.size else 0.0
-    elif norm == "l2":
-        nrm = float(np.linalg.norm(x))
-    else:
-        raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
-    return x / max(1.0, nrm / C)
-
-
-def clip_batch(X: np.ndarray, C: float, norm: str = "linf") -> np.ndarray:
-    """Row-wise clip for a (k, d) batch."""
+def clip_batch(X: np.ndarray, C: float) -> np.ndarray:
+    """Row-wise l-infinity clip of a (k, d) batch: x / max(1, ||x||_inf / C)."""
     if not C > 0:
         raise ValueError(f"clip radius must be positive, got {C}")
     X = np.asarray(X, dtype=np.float64)
-    if norm == "linf":
-        nrm = np.max(np.abs(X), axis=1)
-    elif norm == "l2":
-        nrm = np.linalg.norm(X, axis=1)
-    else:
-        raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
-    return X / np.maximum(1.0, nrm / C)[:, None]
+    return X / np.maximum(1.0, np.max(np.abs(X), axis=1) / C)[:, None]
 
 
 @dataclass(frozen=True)
@@ -66,8 +47,8 @@ class VecMech:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not self.C > 0:
             raise ValueError(f"radius must be positive, got {self.C}")
-        if not math.isfinite(self.variance_bound):
-            raise ValueError("the output scale d C (e^eps0+1)/(e^eps0-1) overflows")
+        if not math.isfinite(self.scale * self.scale):  # a product overflows; scale**2 raises
+            raise ValueError("the output scale d C (e^eps0+1)/(e^eps0-1) or its square overflows")
 
     @property
     def flip_prob(self) -> float:
@@ -97,23 +78,10 @@ def _check_in_ball(x: np.ndarray, mech: VecMech) -> np.ndarray:
     return x
 
 
-def vec_randomize(x: np.ndarray, mech: VecMech, rng: np.random.Generator) -> np.ndarray:
-    """One draw of the vector mechanism: E[output | x] = x."""
-    x = _check_in_ball(x, mech)
-    j = int(rng.integers(mech.d))
-    q = 0.5 + x[j] / (2.0 * mech.C)
-    b = 1.0 if rng.random() < q else -1.0
-    if rng.random() < mech.flip_prob:
-        b = -b
-    out = np.zeros(mech.d)
-    out[j] = mech.scale * b
-    return out
-
-
 def vec_randomize_batch(
     X: np.ndarray, mech: VecMech, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized independent draws for a (k, d) batch of inputs."""
+    """Independent draws for a (k, d) batch of inputs, one per row: E[output | x] = x."""
     X = _check_in_ball(np.atleast_2d(X), mech)
     k = X.shape[0]
     j = rng.integers(mech.d, size=k)
@@ -126,7 +94,7 @@ def vec_randomize_batch(
 
 
 def vec_kernel(x: np.ndarray, mech: VecMech) -> dict[tuple[int, int], float]:
-    """Exact output law of vec_randomize: (coordinate, sign) -> probability.
+    """Exact law of one row of vec_randomize_batch: (coordinate, sign) -> probability.
 
     The alphabet has 2d points; total mass 1.  Used for the exhaustive
     likelihood-ratio check of the eps0-LDP property.

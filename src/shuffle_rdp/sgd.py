@@ -8,9 +8,10 @@ report is exactly the accountant's output for the same (n, k, eps0, T,
 delta).
 
 The server uses only the mean report, which the shuffler's permutation
-cannot change: aggregation uses exact per-coordinate fsum, and correct
-rounding is order-free.  So no permutation is drawn, and runs are
-reproducible bit-for-bit from the seed.
+cannot change: every report is +-scale on one coordinate, so the shuffled
+batch is a histogram over 2d points, and the mean is each coordinate's
+net sign count times scale / k.  The counts are exact integers, so no
+permutation is drawn, and runs are reproducible bit-for-bit from the seed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,24 @@ LOSS_LOGISTIC = "logistic"
 
 SCHEDULE_PAPER = "paper"  # eta_t = D / (G sqrt(t))
 SCHEDULE_CONSTANT = "constant"
+
+# Bound on each loss's second derivative in the prediction z = a . theta.
+_CURVATURE = {LOSS_LEAST_SQUARES: 1.0, LOSS_LOGISTIC: 0.25}
+
+
+def _loss_value(loss: str, z: np.ndarray, b: np.ndarray) -> float:
+    """Mean loss over samples with predictions z = a . theta and targets b."""
+    if loss == LOSS_LEAST_SQUARES:
+        return 0.5 * float(np.mean((z - b) ** 2))
+    return float(np.mean(np.logaddexp(0.0, -b * z)))
+
+
+def _grad_weights(loss: str, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample d loss / d z: sample i's gradient is weights[i] * a_i."""
+    if loss == LOSS_LEAST_SQUARES:
+        return z - b
+    margins = -b * z
+    return -b * (1.0 / (1.0 + np.exp(-margins)))
 
 
 @dataclass(frozen=True)
@@ -51,12 +70,19 @@ class ConvexProblem:
     theta_star: np.ndarray
 
     def __post_init__(self):
-        if self.loss not in (LOSS_LEAST_SQUARES, LOSS_LOGISTIC):
+        if self.loss not in _CURVATURE:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.features.ndim != 2 or self.targets.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with matching targets")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.diameter)):
+            raise ValueError(f"radius must be positive with a finite diameter, got {self.radius}")
+        # d L^2 enters the step size; a float product overflows to inf, not an error.
+        second_moment = self.d * self.lipschitz * self.lipschitz
+        if not (math.isfinite(self.f_star) and math.isfinite(second_moment)):
+            raise ValueError(
+                f"the problem overflows at radius {self.radius}: "
+                f"lipschitz {self.lipschitz}, f_star {self.f_star}"
+            )
 
     @property
     def n(self) -> int:
@@ -71,22 +97,12 @@ class ConvexProblem:
         return 2.0 * self.radius
 
     def objective(self, theta: np.ndarray) -> float:
-        a, b = self.features, self.targets
-        if self.loss == LOSS_LEAST_SQUARES:
-            resid = a @ theta - b
-            return 0.5 * float(np.mean(resid**2))
-        margins = -b * (a @ theta)
-        return float(np.mean(np.logaddexp(0.0, margins)))
+        return _loss_value(self.loss, self.features @ theta, self.targets)
 
     def sample_grads(self, theta: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Per-sample gradients, one row per index."""
-        a, b = self.features[idx], self.targets[idx]
-        if self.loss == LOSS_LEAST_SQUARES:
-            resid = a @ theta - b
-            return resid[:, None] * a
-        margins = -b * (a @ theta)
-        sig = 1.0 / (1.0 + np.exp(-margins))
-        return (-b * sig)[:, None] * a
+        a = self.features[idx]
+        return _grad_weights(self.loss, a @ theta, self.targets[idx])[:, None] * a
 
     def full_gradient(self, theta: np.ndarray) -> np.ndarray:
         return self.sample_grads(theta, np.arange(self.n)).mean(axis=0)
@@ -112,88 +128,64 @@ def solve_optimum(
 ) -> tuple[np.ndarray, float]:
     """Deterministic projected full-gradient descent to the ball optimum.
 
-    Stops once a step moves theta by at most ``tol`` in l2 norm, or after
-    ``iters`` steps.
+    Stops once a step moves theta by at most ``tol`` in l2 norm or leaves
+    it nan, or after ``iters`` steps.
     """
     n, d = features.shape
-    if loss == LOSS_LEAST_SQUARES:
-        smooth = float(np.linalg.eigvalsh(features.T @ features / n).max())
-    else:
-        smooth = float(np.linalg.eigvalsh(features.T @ features / n).max()) / 4.0
+    smooth = float(np.linalg.eigvalsh(features.T @ features / n).max()) * _CURVATURE[loss]
     step = 1.0 / max(smooth, 1e-12)
     theta = np.zeros(d)
-
-    def grad(th):
-        if loss == LOSS_LEAST_SQUARES:
-            return features.T @ (features @ th - targets) / n
-        margins = -targets * (features @ th)
-        sig = 1.0 / (1.0 + np.exp(-margins))
-        return features.T @ (-targets * sig) / n
-
     for _ in range(iters):
-        nxt = project(theta - step * grad(theta), radius)
+        grad = features.T @ _grad_weights(loss, features @ theta, targets) / n
+        nxt = project(theta - step * grad, radius)
         moved = float(np.linalg.norm(nxt - theta))
         theta = nxt
-        if moved <= tol:
+        if not moved > tol:  # true for nan too
             break
-    if loss == LOSS_LEAST_SQUARES:
-        f = 0.5 * float(np.mean((features @ theta - targets) ** 2))
-    else:
-        f = float(np.mean(np.logaddexp(0.0, -targets * (features @ theta))))
-    return theta, f
+    return theta, _loss_value(loss, features @ theta, targets)
 
 
-def _random_design(
-    n: int, d: int, seed: int, radius: float
-) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
-    """(rng, features, planted theta) shared by the synthetic problems."""
+# An extreme radius shows up as a non-finite diameter, lipschitz or f_star,
+# which ConvexProblem rejects; numpy's overflow warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
+def _random_problem(loss: str, n: int, d: int, seed: int, radius: float) -> ConvexProblem:
+    """A random instance: Gaussian design, planted theta at 0.7 radius, noisy targets."""
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be positive, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, d)) / math.sqrt(d)
     theta_true = rng.normal(size=d)
     theta_true *= 0.7 * radius / float(np.linalg.norm(theta_true))
-    return rng, a, theta_true
-
-
-def least_squares_problem(
-    n: int, d: int, seed: int, radius: float = 1.0
-) -> ConvexProblem:
-    """A random well-conditioned least-squares instance on the l2 ball."""
-    rng, a, theta_true = _random_design(n, d, seed, radius)
-    b = a @ theta_true + 0.05 * rng.normal(size=n)
-    # ||grad_i||_inf <= |a_i . theta - b_i| ||a_i||_inf <= (||a_i||_2 R + |b_i|) ||a_i||_inf
-    row_l2 = np.linalg.norm(a, axis=1)
-    row_linf = np.max(np.abs(a), axis=1)
-    lipschitz = float(np.max(row_linf * (row_l2 * radius + np.abs(b))))
-    theta_star, f_star = solve_optimum(a, b, LOSS_LEAST_SQUARES, radius)
+    if loss == LOSS_LEAST_SQUARES:
+        b = a @ theta_true + 0.05 * rng.normal(size=n)
+        # ||grad_i||_inf <= |a_i . theta - b_i| ||a_i||_inf <= (||a_i||_2 R + |b_i|) ||a_i||_inf
+        row_l2 = np.linalg.norm(a, axis=1)
+        row_linf = np.max(np.abs(a), axis=1)
+        lipschitz = float(np.max(row_linf * (row_l2 * radius + np.abs(b))))
+    else:
+        b = np.where(a @ theta_true + 0.1 * rng.normal(size=n) >= 0, 1.0, -1.0)
+        # ||grad_i||_inf <= ||a_i||_inf (the sigmoid weight is below 1).
+        lipschitz = float(np.max(np.abs(a)))
+    theta_star, f_star = solve_optimum(a, b, loss, radius)
     return ConvexProblem(
         features=a,
         targets=b,
-        loss=LOSS_LEAST_SQUARES,
+        loss=loss,
         radius=radius,
         lipschitz=lipschitz,
         f_star=f_star,
         theta_star=theta_star,
     )
+
+
+def least_squares_problem(n: int, d: int, seed: int, radius: float = 1.0) -> ConvexProblem:
+    """A random well-conditioned least-squares instance on the l2 ball."""
+    return _random_problem(LOSS_LEAST_SQUARES, n, d, seed, radius)
 
 
 def logistic_problem(n: int, d: int, seed: int, radius: float = 1.0) -> ConvexProblem:
     """A random logistic-regression instance on the l2 ball."""
-    rng, a, theta_true = _random_design(n, d, seed, radius)
-    b = np.where(a @ theta_true + 0.1 * rng.normal(size=n) >= 0, 1.0, -1.0)
-    # ||grad_i||_inf <= ||a_i||_inf (the sigmoid weight is below 1).
-    lipschitz = float(np.max(np.abs(a)))
-    theta_star, f_star = solve_optimum(a, b, LOSS_LOGISTIC, radius)
-    return ConvexProblem(
-        features=a,
-        targets=b,
-        loss=LOSS_LOGISTIC,
-        radius=radius,
-        lipschitz=lipschitz,
-        f_star=f_star,
-        theta_star=theta_star,
-    )
+    return _random_problem(LOSS_LOGISTIC, n, d, seed, radius)
 
 
 @dataclass(frozen=True)
@@ -244,18 +236,22 @@ class SgdRunReport:
     theta_final: np.ndarray = field(repr=False, default=None)
 
 
+def _mechanism(problem: ConvexProblem, cfg: SgdConfig) -> Optional[VecMech]:
+    """The clients' randomizer, or None when the run bypasses it."""
+    if cfg.bypass_randomizer:
+        return None
+    return VecMech(eps0=cfg.eps0, d=problem.d, C=cfg.clip_radius)
+
+
 def second_moment_bound(problem: ConvexProblem, cfg: SgdConfig) -> float:
     """Closed-form ceiling on E||mean randomized gradient||_2^2.
 
     max(d^{1-2/p}, 1) L^2 + G_p^2(C)/k with p = infinity, so d L^2 plus the
     mechanism variance over the cohort size.
     """
-    L = problem.lipschitz
-    base = max(problem.d, 1) * L**2
-    if cfg.bypass_randomizer:
-        return base
-    mech = VecMech(eps0=cfg.eps0, d=problem.d, C=cfg.clip_radius)
-    return base + mech.variance_bound / cfg.k
+    base = max(problem.d, 1) * problem.lipschitz**2
+    mech = _mechanism(problem, cfg)
+    return base if mech is None else base + mech.variance_bound / cfg.k
 
 
 def paper_schedule_constants(problem: ConvexProblem, cfg: SgdConfig) -> tuple[float, float]:
@@ -274,12 +270,6 @@ def _round_rng(seed: int, t: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, t, purpose)))
 
 
-def _fsum_mean(rows: np.ndarray) -> np.ndarray:
-    """Permutation-invariant mean: correctly rounded per-coordinate sums."""
-    k = rows.shape[0]
-    return np.array([math.fsum(rows[:, j]) for j in range(rows.shape[1])]) / k
-
-
 def aggregate_round(
     problem: ConvexProblem,
     theta: np.ndarray,
@@ -289,24 +279,20 @@ def aggregate_round(
     t: int,
 ) -> np.ndarray:
     """One round's mean report: gradients, clipping, randomization."""
-    grads = problem.sample_grads(theta, idx)
-    clipped = clip_batch(grads, cfg.clip_radius, "linf")
+    clipped = clip_batch(problem.sample_grads(theta, idx), cfg.clip_radius)
     if mech is None:
-        reports = clipped
-    else:
-        reports = vec_randomize_batch(clipped, mech, _round_rng(cfg.seed, t, 1))
-    return _fsum_mean(reports)
+        return clipped.mean(axis=0)
+    reports = vec_randomize_batch(clipped, mech, _round_rng(cfg.seed, t, 1))
+    # The shuffled reports are a histogram: net sign count times scale is
+    # each coordinate's exact sum, rounded once.
+    return np.sign(reports).sum(axis=0) * mech.scale / len(idx)
 
 
 def run(problem: ConvexProblem, cfg: SgdConfig) -> SgdRunReport:
     """Execute the private SGD loop and attach the accountant's guarantee."""
     if cfg.k > problem.n:
         raise ValueError(f"cohort k={cfg.k} exceeds n={problem.n}")
-    mech = (
-        None
-        if cfg.bypass_randomizer
-        else VecMech(eps0=cfg.eps0, d=problem.d, C=cfg.clip_radius)
-    )
+    mech = _mechanism(problem, cfg)
     if cfg.schedule == SCHEDULE_PAPER:
         D, G = paper_schedule_constants(problem, cfg)
         eta = lambda t: D / (G * math.sqrt(t))
@@ -352,17 +338,10 @@ def grad_second_moment_check(
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xE57)))
     theta = rng.normal(size=problem.d)
     theta = project(theta, 0.5 * problem.radius)
-    mech = (
-        None
-        if cfg.bypass_randomizer
-        else VecMech(eps0=cfg.eps0, d=problem.d, C=cfg.clip_radius)
-    )
+    mech = _mechanism(problem, cfg)
     total = 0.0
-    for s in range(samples):
+    for s in range(1, samples + 1):
         idx = rng.choice(problem.n, size=cfg.k, replace=False)
-        grads = problem.sample_grads(theta, idx)
-        clipped = clip_batch(grads, cfg.clip_radius, "linf")
-        reports = clipped if mech is None else vec_randomize_batch(clipped, mech, rng)
-        g_bar = reports.mean(axis=0)
+        g_bar = aggregate_round(problem, theta, idx, mech, cfg, s)
         total += float(g_bar @ g_bar)
     return total / samples

@@ -316,6 +316,17 @@ class TestRejectedInputs:
             out,
         )
 
+    @pytest.mark.parametrize("radius", ["inf", "1e308"])
+    def test_simulate_radius_without_finite_diameter(self, tmp_path, capsys, radius):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["simulate", "--T", "5", "--k", "10", "--n", "100", "--eps0", "2",
+             "--radius", radius, "--clip-radius", "1", "--out", str(out)],
+            out,
+            says="radius",
+        )
+
     def test_simulate_zero_dimension(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert_usage_error(

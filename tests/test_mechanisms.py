@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from shuffle_rdp.bounds import EPS0_MAX
-from shuffle_rdp.mechanisms import (
-    VecMech,
-    clip,
-    clip_batch,
-    vec_kernel,
-    vec_randomize,
-    vec_randomize_batch,
-)
+from shuffle_rdp.mechanisms import VecMech, clip_batch, vec_kernel, vec_randomize_batch
 
 
 class TestRr2:
@@ -53,32 +46,24 @@ class TestRr2:
 
 class TestClip:
     def test_inside_unchanged(self):
-        x = np.array([0.1, -0.2, 0.05])
-        np.testing.assert_array_equal(clip(x, 1.0, "linf"), x)
-        np.testing.assert_array_equal(clip(x, 1.0, "l2"), x)
-
-    def test_l2_direction_preserved(self):
-        c = 0.7
-        x = np.array([2 * c, 0.0, 0.0])
-        np.testing.assert_allclose(clip(x, c, "l2"), [c, 0.0, 0.0], rtol=1e-15)
+        x = np.array([[0.1, -0.2, 0.05]])
+        np.testing.assert_array_equal(clip_batch(x, 1.0), x)
 
     def test_random_vectors_inside_after(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            x = rng.normal(size=8) * 10
-            assert np.max(np.abs(clip(x, 0.5, "linf"))) <= 0.5 + 1e-12
-            assert np.linalg.norm(clip(x, 0.5, "l2")) <= 0.5 + 1e-12
+            x = rng.normal(size=(1, 8)) * 10
+            assert np.max(np.abs(clip_batch(x, 0.5))) <= 0.5 + 1e-12
 
     def test_batch_matches_rowwise(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 6)) * 3
-        for norm in ("linf", "l2"):
-            rows = np.stack([clip(x, 1.2, norm) for x in X])
-            np.testing.assert_allclose(clip_batch(X, 1.2, norm), rows, rtol=1e-15)
+        rows = np.stack([x / max(1.0, float(np.max(np.abs(x))) / 1.2) for x in X])
+        np.testing.assert_allclose(clip_batch(X, 1.2), rows, rtol=1e-15)
 
     def test_bad_radius(self):
         with pytest.raises(ValueError):
-            clip(np.ones(2), 0.0)
+            clip_batch(np.ones((1, 2)), 0.0)
 
 
 class TestVecMech:
@@ -93,10 +78,15 @@ class TestVecMech:
             with pytest.raises(ValueError):
                 VecMech(eps0=bad, d=4, C=1.0)
 
+    def test_squared_scale_overflow_rejected(self):
+        # The scale is finite, but the variance bound scale^2 is not.
+        with pytest.raises(ValueError, match="square overflows"):
+            VecMech(eps0=2.0, d=10, C=1e160)
+
     def test_wrong_dimension_rejected(self):
         mech = VecMech(eps0=1.0, d=3, C=1.0)
         with pytest.raises(ValueError):
-            vec_randomize(np.zeros(2), mech, np.random.default_rng(0))
+            vec_randomize_batch(np.zeros((1, 2)), mech, np.random.default_rng(0))
 
     def test_variance_bound_formula(self):
         mech = VecMech(eps0=2.0, d=8, C=0.5)
@@ -106,13 +96,13 @@ class TestVecMech:
     def test_out_of_ball_rejected(self):
         mech = VecMech(eps0=1.0, d=3, C=1.0)
         with pytest.raises(ValueError):
-            vec_randomize(np.array([1.5, 0.0, 0.0]), mech, np.random.default_rng(0))
+            vec_randomize_batch(np.array([[1.5, 0.0, 0.0]]), mech, np.random.default_rng(0))
 
     def test_output_alphabet(self):
         mech = VecMech(eps0=1.0, d=4, C=1.0)
         rng = np.random.default_rng(7)
         for _ in range(100):
-            y = vec_randomize(rng.uniform(-1, 1, size=4), mech, rng)
+            y = vec_randomize_batch(rng.uniform(-1, 1, size=(1, 4)), mech, rng)[0]
             nz = np.nonzero(y)[0]
             assert len(nz) == 1
             assert abs(y[nz[0]]) == pytest.approx(mech.scale, rel=1e-15)
@@ -192,8 +182,8 @@ class TestVecMech:
     def test_determinism(self):
         mech = VecMech(eps0=1.0, d=5, C=1.0)
         x = np.linspace(-1, 1, 5)
-        a = vec_randomize(x, mech, np.random.default_rng(42))
-        b = vec_randomize(x, mech, np.random.default_rng(42))
+        a = vec_randomize_batch(x[None, :], mech, np.random.default_rng(42))
+        b = vec_randomize_batch(x[None, :], mech, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
         A = vec_randomize_batch(np.tile(x, (10, 1)), mech, np.random.default_rng(9))
         B = vec_randomize_batch(np.tile(x, (10, 1)), mech, np.random.default_rng(9))

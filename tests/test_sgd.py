@@ -1,5 +1,6 @@
 """Tests for the private SGD simulator."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 
 from shuffle_rdp.accountant import AccountantConfig, total_privacy
 from shuffle_rdp.bounds import SubsampledShuffleParams
-from shuffle_rdp.mechanisms import clip_batch, vec_randomize_batch
+from shuffle_rdp import sgd
+from shuffle_rdp.mechanisms import VecMech, vec_randomize_batch
 from shuffle_rdp.sgd import (
     SgdConfig,
-    _fsum_mean,
     aggregate_round,
     convergence_ceiling,
     grad_second_moment_check,
@@ -27,6 +28,11 @@ from shuffle_rdp.sgd import (
 @pytest.fixture(scope="module")
 def problem():
     return least_squares_problem(n=400, d=6, seed=7)
+
+
+@functools.cache
+def problem_of_dim(d):
+    return least_squares_problem(n=500, d=d, seed=7)
 
 
 class TestProject:
@@ -91,6 +97,17 @@ class TestProblems:
             with pytest.raises(ValueError):
                 logistic_problem(n=n, d=d, seed=1)
 
+    @pytest.mark.parametrize("radius", [math.inf, 1e308, 0.0, math.nan])
+    @pytest.mark.parametrize("build", [least_squares_problem, logistic_problem])
+    def test_bad_radius_rejected(self, build, radius):
+        with pytest.raises(ValueError, match="radius"):
+            build(n=100, d=10, seed=7, radius=radius)
+
+    def test_overflowing_problem_rejected(self):
+        # The diameter is finite, but d L^2 is not.
+        with pytest.raises(ValueError, match="overflows"):
+            least_squares_problem(n=100, d=10, seed=7, radius=1e154)
+
     def test_logistic_variant(self):
         prob = logistic_problem(n=200, d=4, seed=3)
         rng = np.random.default_rng(9)
@@ -149,26 +166,38 @@ class TestRunMechanics:
         np.testing.assert_allclose(report.objectives, objs, atol=1e-10)
         assert report.privacy is None  # bypass means no finite eps0 claim
 
-    def test_shuffle_invariance_exact(self, problem):
-        # The shuffler's permutation cannot change the mean report:
-        # per-coordinate sums are correctly rounded, hence order-free.
-        from shuffle_rdp.mechanisms import VecMech
-
-        mech = VecMech(eps0=2.0, d=problem.d, C=problem.lipschitz)
+    @pytest.mark.parametrize("eps0", [0.1, 2.0, 10.0])
+    @pytest.mark.parametrize("k", [1, 2, 100, 500])
+    @pytest.mark.parametrize("d", [1, 6, 1000])
+    def test_shuffle_invariance_exact(self, monkeypatch, d, k, eps0):
+        # The mean report equals, bit for bit, correctly rounded
+        # per-coordinate sums over k, and the shuffler's permutation of the
+        # reports cannot change it.
+        prob = problem_of_dim(d)
+        cfg = SgdConfig(T=1, k=k, eps0=eps0, clip_radius=prob.lipschitz, seed=12)
+        mech = VecMech(eps0=eps0, d=d, C=prob.lipschitz)
         rng = np.random.default_rng(12)
-        theta = project(rng.normal(size=problem.d), problem.radius)
-        idx = rng.choice(problem.n, size=50, replace=False)
-        clipped = clip_batch(problem.sample_grads(theta, idx), problem.lipschitz, "linf")
-        reports = vec_randomize_batch(clipped, mech, rng)
-        shuffled = reports[np.random.default_rng(13).permutation(len(reports))]
-        np.testing.assert_array_equal(_fsum_mean(shuffled), _fsum_mean(reports))
+        theta = project(rng.normal(size=d), prob.radius)
+        idx = rng.choice(prob.n, size=k, replace=False)
+        drawn = []
+
+        def draw(X, m, g):
+            drawn.append(vec_randomize_batch(X, m, g))
+            return drawn[-1]
+
+        monkeypatch.setattr(sgd, "vec_randomize_batch", draw)
+        mean = aggregate_round(prob, theta, idx, mech, cfg, t=1)
+        (reports,) = drawn
+        fsum_mean = np.array([math.fsum(reports[:, j]) for j in range(d)]) / k
+        assert mean.tobytes() == fsum_mean.tobytes()
+
+        shuffled = reports[np.random.default_rng(13).permutation(k)]
+        monkeypatch.setattr(sgd, "vec_randomize_batch", lambda X, m, g: shuffled)
+        assert aggregate_round(prob, theta, idx, mech, cfg, t=1).tobytes() == mean.tobytes()
 
     def test_unbiased_aggregate(self, problem):
         # Fixed model point, clipping inactive: the mean report is an
         # unbiased estimate of the full gradient (4 sigma band).
-        cfg = SgdConfig(T=1, k=80, eps0=2.0, clip_radius=2 * problem.lipschitz, seed=0)
-        from shuffle_rdp.mechanisms import VecMech
-
         mech = VecMech(eps0=2.0, d=problem.d, C=2 * problem.lipschitz)
         rng = np.random.default_rng(21)
         theta = project(rng.normal(size=problem.d), problem.radius)

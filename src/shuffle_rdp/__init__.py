@@ -40,7 +40,6 @@ from .bounds import (
     zeta_shuffle,
     zeta_special,
 )
-from .logspace import SignedLog, log_binomial
 from .mechanisms import VecMech, clip_batch, vec_kernel, vec_randomize_batch
 from .oracle import (
     FiniteDist,

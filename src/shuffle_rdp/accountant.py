@@ -5,8 +5,9 @@ minimizes, over the tabulated integer orders, the standard penalty
 
     eps(lambda) + (ln(1/delta) + (lambda-1) ln(1-1/lambda) - ln lambda) / (lambda-1).
 
-The search over orders walks the integer grid upward and stops once the
-objective has failed to improve for a stretch of consecutive orders; the
+The search over orders walks the integer grid upward, asking the RDP
+function for EARLY_EXIT_PATIENCE orders at a time, and stops once the
+objective has failed to improve for that many consecutive orders; the
 objective is empirically unimodal in the order.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, rdp_upper
 
@@ -124,29 +125,32 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
 
 
 def minimize_over_orders(
-    eps_fn: Callable[[int], float],
+    eps_fn: Callable[[range], Sequence[float]],
     T: int,
     delta: float,
     lambda_max: int = DEFAULT_LAMBDA_MAX,
 ) -> tuple[float, int, float]:
     """min over lambda in {2..lambda_max} of T eps_fn(lambda) + penalty(lambda).
 
-    Returns (clamped eps, argmin lambda, unclamped eps).  Stops after
-    EARLY_EXIT_PATIENCE consecutive orders without improvement on the
-    incumbent.
+    ``eps_fn`` maps a range of orders to their eps values; it is asked for
+    EARLY_EXIT_PATIENCE orders at a time.  Returns (clamped eps, argmin
+    lambda, unclamped eps).  Stops after EARLY_EXIT_PATIENCE consecutive
+    orders without improvement on the incumbent.
     """
     best = math.inf
     best_lam = 2
     stale = 0
-    for lam in range(2, lambda_max + 1):
-        obj = T * eps_fn(lam) + dp_penalty(lam, delta)
-        if obj < best:
-            best, best_lam = obj, lam
-            stale = 0
-        else:
-            stale += 1
-            if stale >= EARLY_EXIT_PATIENCE:
-                break
+    for lo in range(2, lambda_max + 1, EARLY_EXIT_PATIENCE):
+        block = range(lo, min(lo + EARLY_EXIT_PATIENCE, lambda_max + 1))
+        for lam, eps in zip(block, eps_fn(block)):
+            obj = T * float(eps) + dp_penalty(lam, delta)
+            if obj < best:
+                best, best_lam = obj, lam
+                stale = 0
+            else:
+                stale += 1
+                if stale >= EARLY_EXIT_PATIENCE:
+                    return max(best, 0.0), best_lam, best
     return max(best, 0.0), best_lam, best
 
 

@@ -234,10 +234,8 @@ def cmd_bound(v) -> int:
         lambdas = list(range(v.lambda_min, v.lambda_max + 1))
     if not lambdas:
         raise UsageError("empty order range")
-    rows = [
-        f"{lam},{_fmt(rdp_upper(lam, params))},{_fmt(rdp_lower(lam, params))}"
-        for lam in lambdas
-    ]
+    upper, lower = rdp_upper(lambdas, params).tolist(), rdp_lower(lambdas, params).tolist()
+    rows = [f"{lam},{_fmt(up)},{_fmt(lo)}" for lam, up, lo in zip(lambdas, upper, lower)]
     out = _out_dir(v.out)
     _write_csv(out / "bound.csv", "lambda,eps_upper,eps_lower", rows)
     _write_json(

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, check_eps0
+from .bounds import _LOG_SUM_SWITCH, _rr2_ratio_minus_one
 from .logspace import binom_log_pmf
 
 #: Enumeration caps: the full invariant suite must run in well under a minute.
@@ -34,8 +35,6 @@ HIST_MAX_B = 4
 EXACT_2RR_MAX_K = 10_000
 
 _PROB_SUM_TOL = 1e-12
-#: Largest lambda ln(1 + x) summed in linear space; e^700 is still finite.
-_LOG_SUM_SWITCH = 700.0
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,6 @@ def rr2_dists(k: int, eps0: float) -> tuple[FiniteDist, FiniteDist]:
     mu1[1:] += (1.0 - p) * tail
     mu1[:-1] += p * tail
     return FiniteDist(mu0 / mu0.sum()), FiniteDist(mu1 / mu1.sum())
-
-
-def _rr2_ratio_minus_one(k: int, eps0: float) -> np.ndarray:
-    """mu1(m)/mu0(m) - 1 over m = 0..k, by the exact algebraic ratio.
-
-    mu1/mu0 = (m/k) e^{eps0} + ((k-m)/k) e^{-eps0}; subtracting 1 in this
-    form avoids the cancellation a log-pmf difference would reintroduce.
-    """
-    m = np.arange(k + 1, dtype=np.float64)
-    return (m / k) * math.expm1(eps0) - ((k - m) / k) * (-math.expm1(-eps0))
 
 
 def exact_rdp_2rr_subshuffle(lam: int, params: SubsampledShuffleParams) -> float:

@@ -48,7 +48,8 @@ def _grad_weights(loss: str, z: np.ndarray, b: np.ndarray) -> np.ndarray:
     if loss == LOSS_LEAST_SQUARES:
         return z - b
     margins = -b * z
-    return -b * (1.0 / (1.0 + np.exp(-margins)))
+    with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the right limit
+        return -b * (1.0 / (1.0 + np.exp(-margins)))
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,11 @@ def project(theta: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l2 ball of the given radius."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    nrm = float(np.linalg.norm(theta))
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(theta))
+    if nrm == math.inf:  # the squared norm overflowed; rescale before squaring
+        top = float(np.max(np.abs(theta)))
+        nrm = top * float(np.linalg.norm(np.asarray(theta) / top))
     if nrm <= radius:
         return np.asarray(theta, dtype=np.float64)
     return np.asarray(theta, dtype=np.float64) * (radius / nrm)

@@ -209,6 +209,12 @@ class TestRdpUpper:
         direct = math.log1p(s) / (lam - 1)
         assert rdp_upper(lam, params(n, k, eps0)) == pytest.approx(direct, rel=1e-10)
 
+    def test_tiny_eps0(self):
+        # Below eps0 ~ 1e-16, e^{-2 eps0} rounds to 1; ln(e^eps0 - e^-eps0) must not fail.
+        p = params(10**4, 100, 1e-20)
+        assert 0 < rdp_lower(2, p) <= rdp_upper(2, p) < 1e-40
+        assert 0 < zeta_shuffle(3, 1000, 1e-20).value < 1e-40
+
     def test_no_overflow_at_large_order(self):
         # lambda = 4096 with a hot randomizer: the Upsilon factor
         # (1 + A)^lambda overflows float range but the bound must not.
@@ -299,25 +305,6 @@ class TestConcurrentTabulation:
             parallel_up = list(pool.map(lambda lam: rdp_upper(lam, p), lams))
         assert serial_up == parallel_up
 
-    def test_alternating_keys_under_contention(self):
-        # The moment cache keeps one (k, p) and is replaced, not mutated:
-        # threads that switch keys under a tiny switch interval may redo
-        # work but must never read another key's moments.
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        ps = [params(10**4, 300, 1.0), params(10**4, 300, 2.0), params(10**4, 200, 1.0)]
-        jobs = [(p, lam) for lam in range(2, 81) for p in ps]
-        serial = [rdp_lower(lam, p) for p, lam in jobs]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                parallel = list(pool.map(lambda job: rdp_lower(job[1], job[0]), jobs))
-        finally:
-            sys.setswitchinterval(old)
-        assert serial == parallel
-
 
 class TestCurves:
     def test_tabulation(self):
@@ -330,3 +317,67 @@ class TestCurves:
         assert up.lambdas() == lams
         assert up.eps_values() == [rdp_upper(l, p) for l in lams]
         assert lo.eps_values() == [rdp_lower(l, p) for l in lams]
+
+
+class TestHighPrecision:
+    """Both bounds against 60-digit mpmath evaluations of their formulas,
+    written here independently of the float kernels."""
+
+    @staticmethod
+    def upper_mp(lam, n, k, eps0):
+        # The closed form of rdp_upper's docstring, summed term by term.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            e = mpmath.exp(mpmath.mpf(eps0))
+            g = mpmath.mpf(k) / n
+            kb = kbar(k, eps0)
+            s = 4 * math.comb(lam, 2) * g**2 * (e - 1) ** 2 / (kb * e)
+            x = g * mpmath.sqrt(2 * (e * e - 1) ** 2 / (kb * e * e))
+            coef = math.comb(lam, 3) * x**3  # C(lam, j) gamma^j B^{j/2}
+            gam, gam_next = mpmath.sqrt(mpmath.pi) / 2, mpmath.mpf(1)  # Gamma(j/2), Gamma((j+1)/2)
+            for j in range(3, lam + 1):
+                s += coef * j * gam
+                coef = coef * (lam - j) / (j + 1) * x
+                gam, gam_next = gam_next, gam * mpmath.mpf(j) / 2
+            a = g * (e * e - 1) / e
+            s += ((1 + a) ** lam - 1 - lam * a) * mpmath.exp(-mpmath.mpf(k - 1) / (8 * e))
+            return float(mpmath.log1p(s) / (lam - 1))
+
+    @staticmethod
+    def lower_mp(lams, n, k, eps0):
+        # The exact 2RR divergence as a direct sum over the ones-count m:
+        # ln E_mu0[(1 + x_m)^lam] / (lam - 1), E_mu0[x_m] = 0.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            e = mpmath.exp(mpmath.mpf(eps0))
+            p = 1 / (e + 1)
+            g = mpmath.mpf(k) / n
+            w = (1 - p) ** k  # Bin(k, p) pmf at m, by the ratio recurrence
+            sums = [mpmath.mpf(0)] * len(lams)
+            for m in range(k + 1):
+                x = g * (mpmath.mpf(m) / k * (e - 1) - mpmath.mpf(k - m) / k * (1 - 1 / e))
+                for i, lam in enumerate(lams):
+                    sums[i] += w * ((1 + x) ** lam - 1 - lam * x)
+                w = w * (k - m) / (m + 1) * p / (1 - p)
+            return [float(mpmath.log1p(s) / (lam - 1)) for s, lam in zip(sums, lams)]
+
+    @pytest.mark.parametrize(
+        "n,k,eps0", [(10**6, 1000, 2.0), (10**4, 100, 0.5), (10**6, 1000, 3.0)]
+    )
+    @pytest.mark.parametrize("lam", [1024, 2048, 4096])
+    def test_upper_at_large_orders(self, n, k, eps0, lam):
+        ref = self.upper_mp(lam, n, k, eps0)
+        assert rdp_upper(lam, params(n, k, eps0)) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("eps0", [0.1, 2.0, 5.0])
+    @pytest.mark.parametrize("k", [2, 100, 1000])
+    def test_lower_direct_sum(self, eps0, k):
+        lams = [2, 3, 8, 32, 256]
+        for n in (k, 1000 * k, 10**6 * k):
+            got = rdp_lower(lams, params(n, k, eps0))
+            assert got == pytest.approx(self.lower_mp(lams, n, k, eps0), rel=1e-11)
+
+    def test_lower_direct_sum_k1e4(self):
+        lams = [2, 32, 256]
+        got = rdp_lower(lams, params(10**7, 10**4, 2.0))
+        assert got == pytest.approx(self.lower_mp(lams, 10**7, 10**4, 2.0), rel=1e-11)

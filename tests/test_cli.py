@@ -218,6 +218,17 @@ class TestSimulate:
         assert read(a / "trajectory.csv") == read(b / "trajectory.csv")
         assert read(a / "privacy.json") == read(b / "privacy.json")
 
+    @pytest.mark.filterwarnings("error")
+    def test_radius_whose_squared_norm_overflows(self, tmp_path):
+        # Iterates inside the ball whose squared norm overflows stay put.
+        rc = main(
+            ["simulate", "--loss", "logistic", "--radius", "1e300", "--T", "5", "--k", "10",
+             "--n", "100", "--eps0", "2", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert float(rows[2].split(",")[1]) > 1.0  # not ln 2, the objective at theta = 0
+
     def test_bad_cohort_exit2(self, tmp_path):
         rc = main(
             ["simulate", "--T", "5", "--k", "500", "--n", "200", "--d", "5",

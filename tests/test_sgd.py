@@ -53,6 +53,12 @@ class TestProject:
                 np.linalg.norm(x - y) + 1e-12
             )
 
+    def test_squared_norm_overflow(self):
+        got = project(np.array([3e200, 4e200]), 1e200)
+        np.testing.assert_allclose(got, [6e199, 8e199], rtol=1e-15)
+        x = np.array([1e200, 1e200])
+        np.testing.assert_array_equal(project(x, 1e300), x)
+
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=4) * 10

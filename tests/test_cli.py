@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from shuffle_rdp import cli
+from shuffle_rdp.accountant import minimize_over_orders
+from shuffle_rdp.bounds import SubsampledShuffleParams
 from shuffle_rdp.cli import _COMMANDS, main
 
 # ln(1/1e-6) - ln 4, the single-entry conversion at lambda = 2, eps = 0.
@@ -182,6 +185,47 @@ class TestCompare:
         rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["100", "1000"]
 
+    def test_T_points_share_one_curve_per_bound(self, tmp_path, monkeypatch):
+        # RDP composes linearly in T, so every T point reads the blocks of
+        # orders that the deepest scan computed; the rows stay those of
+        # one-value sweeps.
+        Ts = (100, 1000, 10000)
+        fixed = ["--eps0", "1", "--k", "100", "--n", "10000", "--delta", "1e-8",
+                 "--lambda-max", "512"]
+        calls = {}
+
+        def counted(bound):
+            def fn(lam, params):
+                key = (bound.__name__, params, lam)
+                calls[key] = calls.get(key, 0) + 1
+                return bound(lam, params)
+            return fn
+
+        params = SubsampledShuffleParams(n=10000, k=100, eps0=1.0)
+        lower_depths = []
+        for T in Ts:
+            blocks = []
+            minimize_over_orders(
+                lambda lam: blocks.append(lam) or cli.rdp_lower(lam, params), T, 1e-8, 512
+            )
+            lower_depths.append(len(blocks))
+
+        monkeypatch.setattr(cli, "rdp_upper", counted(cli.rdp_upper))
+        monkeypatch.setattr(cli, "rdp_lower", counted(cli.rdp_lower))
+        values = ",".join(map(str, Ts))
+        assert main(["compare", "--axis", "T", "--values", values, *fixed,
+                     "--out", str(tmp_path / "all")]) == 0
+        assert max(calls.values()) == 1
+        assert sum(key[0] == "rdp_upper" for key in calls) > 0
+        assert sum(key[0] == "rdp_lower" for key in calls) == max(lower_depths) < sum(lower_depths)
+
+        rows = (tmp_path / "all" / "compare.csv").read_text().splitlines()[1:]
+        for T, row in zip(Ts, rows, strict=True):
+            out = tmp_path / str(T)
+            assert main(["compare", "--axis", "T", "--values", str(T), *fixed,
+                         "--out", str(out)]) == 0
+            assert (out / "compare.csv").read_text().splitlines()[1:] == [row]
+
 
 class TestSimulate:
     ARGS = [
@@ -307,6 +351,27 @@ class TestRejectedInputs:
             ["bound", "--eps0", "1", "--k", "100", "--n", "10000",
              "--lambdas", "2.5,8", "--out", str(out)],
             out,
+        )
+
+    @pytest.mark.parametrize("orders", ["8,2,8", "2,2,8"])
+    def test_bound_orders_not_strictly_increasing(self, tmp_path, capsys, orders):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["bound", "--eps0", "1", "--k", "100", "--n", "10000",
+             "--lambdas", orders, "--out", str(out)],
+            out,
+            says="--lambdas",
+        )
+
+    def test_compare_repeated_value(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "T", "--values", "100,100", "--eps0", "1",
+             "--k", "100", "--n", "10000", "--delta", "1e-8", "--out", str(out)],
+            out,
+            says="--values",
         )
 
     @pytest.mark.parametrize("order", ["2.5", "3.7"])

@@ -1,11 +1,13 @@
 """Property tests of the RDP bounds over random mechanisms and order lists."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shuffle_rdp.accountant import minimize_over_orders
 from shuffle_rdp.bounds import EPS0_MAX, SubsampledShuffleParams, rdp_lower, rdp_upper
 from shuffle_rdp.oracle import exact_rdp_2rr_subshuffle
 
@@ -67,3 +69,27 @@ def test_no_warning_up_to_eps0_max_and_at_k1(p, lams):
         with pytest.raises(ValueError):
             rdp_upper(lams, p)
     assert math.isfinite(rdp_lower(lams[0], SubsampledShuffleParams(n=p.n, k=1, eps0=p.eps0)))
+
+
+@SETTINGS
+@given(
+    p=mechanisms(k_min=2),
+    Ts=st.lists(st.integers(1, 10**6), min_size=2, max_size=4, unique=True).map(sorted),
+    delta=st.sampled_from([1e-12, 1e-8, 1e-5]),
+    lambda_max=st.integers(2, 512),
+)
+def test_converted_eps_is_nondecreasing_in_T(p, Ts, delta, lambda_max):
+    for bound in (rdp_upper, rdp_lower):
+        eps = [
+            minimize_over_orders(lambda lam: bound(lam, p), T, delta, lambda_max)[0]
+            for T in Ts
+        ]
+        assert eps == sorted(eps)
+
+
+@SETTINGS
+@given(p=mechanisms(k_min=2).map(lambda p: replace(p, eps0=0.0)), lams=orders)
+def test_both_bounds_are_zero_at_eps0_zero(p, lams):
+    for bound in (rdp_upper, rdp_lower):
+        assert bound(lams, p).tolist() == [0.0] * len(lams)
+        assert bound(lams[0], p) == 0.0

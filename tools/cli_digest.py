@@ -1,9 +1,11 @@
 """Digest of the CLI's output files over a fixed set of invocations.
 
-Runs ``bound``, ``compose``, ``convert``, ``compare`` (axes T, n and eps0)
-and four ``simulate`` runs into a temporary directory, then prints
-``sha256  path`` for every file written, sorted by path.  Two checkouts
-whose digests match write byte-identical files for this set:
+Runs ``bound``, ``compose``, ``convert``, ``compare`` (axes T, n and eps0,
+plus a T sweep whose baseline is amplified, not degenerate, and whose lower
+bound scans deep at the smallest T) and four ``simulate`` runs into a
+temporary directory, then prints ``sha256  path`` for every file written,
+sorted by path.  Two checkouts whose digests match write byte-identical
+files for this set:
 
     python tools/cli_digest.py > digest.txt
 
@@ -35,6 +37,8 @@ RUNS = [
     ("convert_lower", ["convert", "--curve", "bound_orders/bound.csv", "--kind", "lower", "--delta", "1e-6"]),
     ("compare_T", ["compare", "--axis", "T", "--log-range", "1e3", "1e6", "4", "--eps0", "2",
                    "--k", "1000", "--n", "1000000", "--delta", "1e-8"]),
+    ("compare_T_amplified", ["compare", "--axis", "T", "--values", "1000,10000,100000", "--eps0", "2",
+                             "--k", "10000", "--n", "10000000", "--delta", "1e-8"]),
     ("compare_n", ["compare", "--axis", "n", "--values", "10000,100000,1000000", "--eps0", "1",
                    "--k", "100", "--T", "1000", "--delta", "1e-8", "--lambda-max", "256"]),
     ("compare_eps0", ["compare", "--axis", "eps0", "--values", "0.5,1,2,4", "--k", "100",

@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, rdp_upper
 
@@ -94,33 +96,42 @@ def dp_penalty(lam: int, delta: float) -> float:
         raise ValueError(f"order must be >= 2, got {lam}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    # -ln(delta), not ln(1/delta): 1/delta overflows below 1/DBL_MAX.
     return (
-        math.log(1.0 / delta) + (lam - 1) * math.log1p(-1.0 / lam) - math.log(lam)
+        -math.log(delta) + (lam - 1) * math.log1p(-1.0 / lam) - math.log(lam)
     ) / (lam - 1)
 
 
-def rdp_to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
-    """Convert a tabulated RDP curve to an (eps, delta)-DP guarantee.
-
-    eps = min over tabulated lambda of eps(lambda) + penalty(lambda); the
-    final eps is clamped at zero with the raw minimum kept for diagnostics.
-    """
-    if not curve.entries:
-        raise ValueError("curve must contain at least one entry")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+def _scan(
+    pairs: Iterable[tuple[int, float]], delta: float, patience: Optional[int] = None
+) -> tuple[float, Optional[int], float]:
+    """(clamped eps, argmin lambda, unclamped eps) of eps + penalty(lambda) over
+    the pairs, read until ``patience`` of them in a row fail to improve on the
+    best.  With no finite objective there is no argmin: (inf, None, inf)."""
     best = math.inf
     best_lam = None
-    for lam, eps in curve.entries:
+    best_at = -1
+    for i, (lam, eps) in enumerate(pairs):
         obj = eps + dp_penalty(lam, delta)
         if obj < best:
-            best, best_lam = obj, lam
+            best, best_lam, best_at = obj, lam, i
+        elif i - best_at == patience:
+            break
+    return max(best, 0.0), best_lam, best
+
+
+def rdp_to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
+    """Convert a tabulated RDP curve to an (eps, delta)-DP guarantee: the
+    minimum over every entry, clamped at zero, with the raw minimum kept."""
+    if not curve.entries:
+        raise ValueError("curve must contain at least one entry")
+    eps, lam, raw = _scan(curve.entries, delta)
     return DpGuarantee(
-        eps=max(best, 0.0),
+        eps=eps,
         delta=delta,
         provenance=_KIND_TO_PROVENANCE[curve.kind],
-        argmin_lambda=best_lam,
-        eps_unclamped=best,
+        argmin_lambda=lam,
+        eps_unclamped=raw,
     )
 
 
@@ -129,29 +140,16 @@ def minimize_over_orders(
     T: int,
     delta: float,
     lambda_max: int = DEFAULT_LAMBDA_MAX,
-) -> tuple[float, int, float]:
-    """min over lambda in {2..lambda_max} of T eps_fn(lambda) + penalty(lambda).
-
-    ``eps_fn`` maps a range of orders to their eps values; it is asked for
-    EARLY_EXIT_PATIENCE orders at a time.  Returns (clamped eps, argmin
-    lambda, unclamped eps).  Stops after EARLY_EXIT_PATIENCE consecutive
-    orders without improvement on the incumbent.
-    """
-    best = math.inf
-    best_lam = 2
-    stale = 0
-    for lo in range(2, lambda_max + 1, EARLY_EXIT_PATIENCE):
-        block = range(lo, min(lo + EARLY_EXIT_PATIENCE, lambda_max + 1))
-        for lam, eps in zip(block, eps_fn(block)):
-            obj = T * float(eps) + dp_penalty(lam, delta)
-            if obj < best:
-                best, best_lam = obj, lam
-                stale = 0
-            else:
-                stale += 1
-                if stale >= EARLY_EXIT_PATIENCE:
-                    return max(best, 0.0), best_lam, best
-    return max(best, 0.0), best_lam, best
+) -> tuple[float, Optional[int], float]:
+    """min over lambda in {2..lambda_max} of T eps_fn(lambda) + penalty(lambda),
+    returned as _scan returns it.  ``eps_fn`` maps a range of orders to their
+    eps values; the scan asks it for EARLY_EXIT_PATIENCE orders at a time."""
+    blocks = (
+        range(lo, min(lo + EARLY_EXIT_PATIENCE, lambda_max + 1))
+        for lo in range(2, lambda_max + 1, EARLY_EXIT_PATIENCE)
+    )
+    pairs = (p for b in blocks for p in zip(b, (float(T) * np.asarray(eps_fn(b))).tolist()))
+    return _scan(pairs, delta, EARLY_EXIT_PATIENCE)
 
 
 def total_privacy(

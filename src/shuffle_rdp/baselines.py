@@ -46,7 +46,7 @@ def clones_condition_ok(eps0: float, n_eff: int, delta: float) -> bool:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return eps0 <= math.log(n_eff / (16.0 * math.log(2.0 / delta)))
+    return eps0 <= math.log(n_eff / (16.0 * (math.log(2.0) - math.log(delta))))
 
 
 def blanket_condition_ok(eps0: float, n_eff: int, delta: float) -> bool:
@@ -55,7 +55,7 @@ def blanket_condition_ok(eps0: float, n_eff: int, delta: float) -> bool:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return eps0 <= 0.5 * math.log(n_eff / math.log(1.0 / delta))
+    return eps0 <= 0.5 * math.log(n_eff / -math.log(delta))
 
 
 def clones_closed_form(eps0: float, n: int, delta: float) -> float:
@@ -71,7 +71,7 @@ def clones_closed_form(eps0: float, n: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     bracket = 4.0 * math.sqrt(
-        2.0 * math.log(4.0 / delta) / ((math.exp(eps0) + 1.0) * n)
+        2.0 * (math.log(4.0) - math.log(delta)) / ((math.exp(eps0) + 1.0) * n)
     ) + 4.0 / n
     return math.log1p(math.expm1(eps0) * bracket)
 
@@ -120,7 +120,7 @@ def strong_compose(g: ApproxDp, T: int, delta_slack: float) -> ApproxDp:
     delta_total = T * g.delta + delta_slack
     if T == 1:
         return ApproxDp(eps=eps, delta=delta_total, degenerate=g.degenerate)
-    advanced = eps * math.sqrt(2.0 * T * math.log(1.0 / delta_slack)) + (
+    advanced = eps * math.sqrt(2.0 * T * -math.log(delta_slack)) + (
         T * eps * math.expm1(eps) / (math.exp(eps) + 1.0)
     )
     return ApproxDp(

@@ -112,12 +112,6 @@ class RdpCurve:
                 raise ValueError(f"eps values must be finite and >= 0, got {eps}")
             prev = lam
 
-    def lambdas(self) -> list[int]:
-        return [lam for lam, _ in self.entries]
-
-    def eps_values(self) -> list[float]:
-        return [eps for _, eps in self.entries]
-
 
 @dataclass(frozen=True)
 class ZetaBound:

@@ -48,10 +48,6 @@ from .checks import ALL_CHECKS
 from . import sgd
 
 
-class UsageError(ValueError):
-    """Invalid flags or parameters; maps to exit code 2, as every ValueError does."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
@@ -86,9 +82,9 @@ def _load_config(path: Optional[str]) -> dict:
         with open(path) as f:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return cfg
 
 
@@ -103,11 +99,11 @@ def number(text: str):
 def _to_float(value, name: str) -> float:
     """value as a float; strings, booleans and containers are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise UsageError(f"{name} is out of range, got {value!r}") from exc
+        raise ValueError(f"{name} is out of range, got {value!r}") from exc
 
 
 def _to_int(value, name: str) -> int:
@@ -116,13 +112,13 @@ def _to_int(value, name: str) -> int:
         return value
     x = _to_float(value, name)
     if not x.is_integer():
-        raise UsageError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(x)
 
 
 def _to_text(value, name: str) -> str:
     if not isinstance(value, str):
-        raise UsageError(f"{name} must be a string, got {value!r}")
+        raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -157,12 +153,12 @@ def _resolve(params: Sequence[Param], args: argparse.Namespace) -> argparse.Name
             value = config.get(p.name.lstrip("-"))
         if value is None:
             if p.required:
-                raise UsageError(f"missing required parameter {p.name}")
+                raise ValueError(f"missing required parameter {p.name}")
             values[p.dest] = p.default
             continue
         value = [p.kind(x, p.name) for x in value] if p.metavar else p.kind(value, p.name)
         if p.choices and value not in p.choices:
-            raise UsageError(f"{p.name} must be one of {', '.join(p.choices)}, got {value!r}")
+            raise ValueError(f"{p.name} must be one of {', '.join(p.choices)}, got {value!r}")
         values[p.dest] = value
     return argparse.Namespace(**values)
 
@@ -177,28 +173,28 @@ def _parse_values(raw: str, kind, flag: str) -> list:
     try:
         vals = [number(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
-        raise UsageError(f"cannot parse {flag} {raw!r}") from exc
+        raise ValueError(f"cannot parse {flag} {raw!r}") from exc
     vals = [kind(x, f"every value of {flag}") for x in vals]
     if not vals:
-        raise UsageError(f"{flag} is empty")
+        raise ValueError(f"{flag} is empty")
     if any(v <= 0 for v in vals):
-        raise UsageError(f"{flag} must be positive, got {raw!r}")
+        raise ValueError(f"{flag} must be positive, got {raw!r}")
     if any(a >= b for a, b in zip(vals, vals[1:])):
-        raise UsageError(f"{flag} must be strictly increasing, got {raw!r}")
+        raise ValueError(f"{flag} must be strictly increasing, got {raw!r}")
     return vals
 
 
 def _log_range(start: float, stop: float, points: int, kind) -> list:
     if points < 1 or start <= 0 or stop < start:
-        raise UsageError("log range requires 0 < start <= stop and points >= 1")
+        raise ValueError("log range requires 0 < start <= stop and points >= 1")
     if points == 1:
         grid = [start]
     else:
         ratio = (stop / start) ** (1.0 / (points - 1))
         grid = [start * ratio**i for i in range(points)]
     if kind is _to_int:
-        return sorted({int(round(v)) for v in grid})
-    return grid
+        grid = [int(round(v)) for v in grid]
+    return sorted(set(grid))
 
 
 def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
@@ -206,17 +202,17 @@ def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
         with open(path) as f:
             lines = [ln.strip() for ln in f if ln.strip()]
     except OSError as exc:
-        raise UsageError(f"cannot read curve {path}: {exc}") from exc
+        raise ValueError(f"cannot read curve {path}: {exc}") from exc
     if not lines or not lines[0].lower().startswith("lambda"):
-        raise UsageError(f"curve file {path} must start with a 'lambda,eps' header")
+        raise ValueError(f"curve file {path} must start with a 'lambda,eps' header")
     entries = []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) < 2:
-            raise UsageError(f"malformed curve row {ln!r}")
+            raise ValueError(f"malformed curve row {ln!r}")
         entries.append((_to_int(float(parts[0]), "curve order"), float(parts[1])))
     if not entries:
-        raise UsageError(f"curve file {path} holds no entries")
+        raise ValueError(f"curve file {path} holds no entries")
     return RdpCurve(entries=tuple(entries), kind=kind, params=None)
 
 
@@ -230,11 +226,11 @@ def cmd_bound(v) -> int:
     if v.lambdas:
         lambdas = _parse_values(v.lambdas, _to_int, "--lambdas")
     elif v.lambda_max is None:
-        raise UsageError("provide --lambdas or --lambda-max")
+        raise ValueError("provide --lambdas or --lambda-max")
     else:
         lambdas = list(range(v.lambda_min, v.lambda_max + 1))
     if not lambdas:
-        raise UsageError("empty order range")
+        raise ValueError("empty order range")
     upper, lower = rdp_upper(lambdas, params).tolist(), rdp_lower(lambdas, params).tolist()
     rows = [f"{lam},{_fmt(up)},{_fmt(lo)}" for lam, up, lo in zip(lambdas, upper, lower)]
     out = _out_dir(v.out)
@@ -286,11 +282,11 @@ def cmd_compare(v) -> int:
         start, stop, points = v.log_range
         values = _log_range(start, stop, _to_int(points, "--log-range POINTS"), kind)
     else:
-        raise UsageError("provide --values or --log-range")
+        raise ValueError("provide --values or --log-range")
     fixed = _config_values("compare", v)
     for name in ("T", "n", "eps0"):
         if name != v.axis and fixed[name] is None:
-            raise UsageError(f"missing required parameter --{name}")
+            raise ValueError(f"missing required parameter --{name}")
 
     # Validate every point before computing anything (no partial outputs).
     points = [

@@ -110,6 +110,10 @@ def exact_rdp_2rr_subshuffle(lam: int, params: SubsampledShuffleParams) -> float
     gamma), by direct summation over the ones-count m.  While every
     lambda ln(1 + x_m) stays below _LOG_SUM_SWITCH the sum runs in linear
     space, past that in log space, where the terms cannot overflow.
+
+    Accurate domain: the linear-space terms cancel, so the relative error is
+    about 1e-13 / (lambda sd(x)), sd under mu0: at most 7e-12 on the exact2rr
+    grid (n = 10k, eps0 >= 0.5), 1.2e-9 at n = 1e6, k = 1e3, eps0 = 2, lambda = 2.
     """
     if lam != int(lam) or lam < 2:
         raise ValueError(f"order lambda must be an integer >= 2, got {lam}")

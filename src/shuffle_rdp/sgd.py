@@ -105,9 +105,6 @@ class ConvexProblem:
         a = self.features[idx]
         return _grad_weights(self.loss, a @ theta, self.targets[idx])[:, None] * a
 
-    def full_gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self.sample_grads(theta, np.arange(self.n)).mean(axis=0)
-
 
 def project(theta: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l2 ball of the given radius."""
@@ -227,6 +224,8 @@ class SgdConfig:
             raise ValueError("eps0 must be positive unless the randomizer is bypassed")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if self.record_every is not None and self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass

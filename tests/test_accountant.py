@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shuffle_rdp.accountant import (
+    EARLY_EXIT_PATIENCE,
     AccountantConfig,
     Provenance,
     compose,
@@ -70,6 +71,11 @@ class TestDpPenalty:
     def test_lambda2_closed_form(self):
         delta = 1e-6
         expect = math.log(1 / delta) + math.log(0.5) - math.log(2)
+        assert dp_penalty(2, delta) == pytest.approx(expect, rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324])
+    def test_finite_where_reciprocal_overflows(self, delta):
+        expect = -math.log(delta) + math.log(0.5) - math.log(2)
         assert dp_penalty(2, delta) == pytest.approx(expect, rel=1e-15)
 
 
@@ -137,6 +143,26 @@ class TestMinimizeOverOrders:
             )
             assert minimize_over_orders(fn, T, 1e-8, 512) == (max(best, 0.0), best_lam, best)
 
+    def test_asks_only_for_the_blocks_it_scans(self):
+        # The scan stops EARLY_EXIT_PATIENCE orders past the argmin, and
+        # asks for no block beyond the one holding that order.
+        p = SubsampledShuffleParams(n=10**6, k=1000, eps0=2.0)
+        blocks = []
+        _, lam, _ = minimize_over_orders(
+            lambda block: blocks.append(block) or rdp_upper(block, p), 10**5, 1e-8
+        )
+        assert lam == 28
+        assert blocks == [range(2, 34), range(34, 66)]
+        assert lam + EARLY_EXIT_PATIENCE in blocks[-1]
+
+    def test_no_finite_objective_has_no_argmin(self):
+        blocks = []
+        result = minimize_over_orders(
+            lambda block: blocks.append(block) or [math.inf] * len(block), 10, 1e-8, 512
+        )
+        assert result == (math.inf, None, math.inf)
+        assert blocks == [range(2, 34)]
+
 
 class TestTotalPrivacy:
     def test_t_zero_rejected(self):
@@ -155,6 +181,12 @@ class TestTotalPrivacy:
         g = total_privacy(p, AccountantConfig(T=10**5, delta=1e-8))
         assert g.eps == pytest.approx(HEADLINE_OURS_EPS, rel=1e-9)
         assert g.argmin_lambda == 28
+
+    def test_finite_where_reciprocal_of_delta_overflows(self):
+        p = SubsampledShuffleParams(n=10**6, k=1000, eps0=2.0)
+        g = total_privacy(p, AccountantConfig(T=10**5, delta=1e-310))
+        assert math.isfinite(g.eps) and g.eps > HEADLINE_OURS_EPS
+        assert g.argmin_lambda is not None
 
     def test_grows_with_rounds(self):
         # More composition rounds can only cost privacy; qualitative shape

@@ -1,5 +1,7 @@
 """Tests for the approximate-DP baseline pipeline."""
 
+import math
+
 import pytest
 
 from shuffle_rdp.accountant import Provenance
@@ -162,3 +164,11 @@ class TestBaselineTotal:
         g = baseline_total(params(10**6, 1000, 3.0), 10**5, 1e-8)
         assert g.degenerate is True
 
+    def test_finite_where_reciprocal_of_delta_overflows(self):
+        # ln(c/delta) is computed as ln c - ln delta: c/delta overflows here.
+        for delta in (1e-310, 5e-320):
+            assert clones_condition_ok(1.0, 10**6, delta) in (True, False)
+            assert blanket_condition_ok(1.0, 10**6, delta) in (True, False)
+            assert math.isfinite(clones_closed_form(1.0, 10**6, delta))
+            assert math.isfinite(strong_compose(ApproxDp(0.01, 0.0), 100, delta).eps)
+            assert math.isfinite(baseline_total(params(10**7, 10**4, 2.0), 100, delta).eps)

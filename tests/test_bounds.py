@@ -59,8 +59,7 @@ class TestParams:
 class TestRdpCurveType:
     def test_valid(self):
         c = RdpCurve(entries=((2, 0.1), (3, 0.2)), kind=CurveKind.UPPER_BOUND)
-        assert c.lambdas() == [2, 3]
-        assert c.eps_values() == [0.1, 0.2]
+        assert c.entries == ((2, 0.1), (3, 0.2))
 
     @pytest.mark.parametrize(
         "entries",
@@ -314,9 +313,8 @@ class TestCurves:
         lo = rdp_lower_curve(p, lams)
         assert up.kind is CurveKind.UPPER_BOUND
         assert lo.kind is CurveKind.LOWER_BOUND
-        assert up.lambdas() == lams
-        assert up.eps_values() == [rdp_upper(l, p) for l in lams]
-        assert lo.eps_values() == [rdp_lower(l, p) for l in lams]
+        assert up.entries == tuple((l, rdp_upper(l, p)) for l in lams)
+        assert lo.entries == tuple((l, rdp_lower(l, p)) for l in lams)
 
 
 class TestHighPrecision:

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,19 @@ class TestConvertCompose:
         assert payload["eps"] == pytest.approx(SINGLE_ENTRY_LAM2_DELTA1E6, rel=1e-12)
         assert payload["argmin_lambda"] == 2
 
+    def test_convert_writes_strict_json_below_reciprocal_of_dbl_max(self, tmp_path):
+        # 1/delta overflows at this delta; the output must stay RFC 8259 JSON.
+        curve = tmp_path / "curve.csv"
+        curve.write_text("lambda,eps\n2,1.0e-03\n64,2.0e-02\n", newline="\n")
+        rc = main(["convert", "--curve", str(curve), "--delta", "1e-310", "--out", str(tmp_path)])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON number {token}")
+
+        payload = json.loads((tmp_path / "convert.json").read_text(), parse_constant=reject)
+        assert payload["argmin_lambda"] == 64
+
     def test_compose_scales(self, tmp_path):
         curve = tmp_path / "curve.csv"
         curve.write_text("lambda,eps\n2,1.000000000000e-03\n4,2.000000000000e-03\n", newline="\n")
@@ -184,6 +198,25 @@ class TestCompare:
         assert rc == 0
         rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["100", "1000"]
+
+    def test_delta_below_reciprocal_of_dbl_max(self, tmp_path):
+        rc = main(
+            ["compare", "--axis", "T", "--values", "10,100", "--eps0", "2", "--k", "1000",
+             "--n", "1000000", "--delta", "1e-310", "--lambda-max", "64", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+
+    def test_eps0_log_range_collapses_duplicates(self, tmp_path):
+        rc = main(
+            ["compare", "--axis", "eps0", "--log-range", "2", "2", "3", "--T", "10",
+             "--k", "100", "--n", "10000", "--delta", "1e-8", "--lambda-max", "16",
+             "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["2.000000000000e+00"]
 
     def test_T_points_share_one_curve_per_bound(self, tmp_path, monkeypatch):
         # RDP composes linearly in T, so every T point reads the blocks of
@@ -401,6 +434,17 @@ class TestRejectedInputs:
              "--radius", radius, "--clip-radius", "1", "--out", str(out)],
             out,
             says="radius",
+        )
+
+    @pytest.mark.parametrize("every", ["-5", "0"])
+    def test_simulate_record_every_below_one(self, tmp_path, capsys, every):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["simulate", "--T", "30", "--k", "10", "--n", "100", "--d", "3", "--eps0", "2",
+             "--record-every", every, "--out", str(out)],
+            out,
+            says="record_every",
         )
 
     def test_simulate_zero_dimension(self, tmp_path, capsys):

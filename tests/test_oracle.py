@@ -106,7 +106,7 @@ class TestExact2rr:
     def test_curve_kind(self):
         c = exact_rdp_2rr_curve(params(100, 10, 1.0), [2, 3, 4])
         assert c.kind.value == "exact"
-        assert c.lambdas() == [2, 3, 4]
+        assert [lam for lam, _ in c.entries] == [2, 3, 4]
 
     @pytest.mark.parametrize("eps0, lam", [(10.0, 128), (20.0, 64), (100.0, 8)])
     def test_finite_where_linear_sum_overflows(self, eps0, lam):

@@ -1,6 +1,7 @@
 """Digest of the CLI's output files over a fixed set of invocations.
 
-Runs ``bound``, ``compose``, ``convert``, ``compare`` (axes T, n and eps0,
+Runs ``bound``, ``compose``, ``convert`` (one at a delta below 1/DBL_MAX),
+``compare`` (axes T, n and eps0, an eps0 log range that repeats one value,
 plus a T sweep whose baseline is amplified, not degenerate, and whose lower
 bound scans deep at the smallest T) and four ``simulate`` runs into a
 temporary directory, then prints ``sha256  path`` for every file written,
@@ -35,6 +36,7 @@ RUNS = [
     ("compose", ["compose", "--curve", "bound/bound.csv", "--T", "100000"]),
     ("convert", ["convert", "--curve", "compose/composed.csv", "--delta", "1e-8"]),
     ("convert_lower", ["convert", "--curve", "bound_orders/bound.csv", "--kind", "lower", "--delta", "1e-6"]),
+    ("convert_tiny_delta", ["convert", "--curve", "compose/composed.csv", "--delta", "1e-310"]),
     ("compare_T", ["compare", "--axis", "T", "--log-range", "1e3", "1e6", "4", "--eps0", "2",
                    "--k", "1000", "--n", "1000000", "--delta", "1e-8"]),
     ("compare_T_amplified", ["compare", "--axis", "T", "--values", "1000,10000,100000", "--eps0", "2",
@@ -43,6 +45,8 @@ RUNS = [
                    "--k", "100", "--T", "1000", "--delta", "1e-8", "--lambda-max", "256"]),
     ("compare_eps0", ["compare", "--axis", "eps0", "--values", "0.5,1,2,4", "--k", "100",
                       "--n", "100000", "--T", "100", "--delta", "1e-6", "--lambda-max", "256"]),
+    ("compare_eps0_log_range", ["compare", "--axis", "eps0", "--log-range", "2", "2", "3", "--T", "10",
+                                "--k", "100", "--n", "10000", "--delta", "1e-8", "--lambda-max", "16"]),
     ("simulate_ls", ["simulate", "--T", "2000", "--k", "100", "--n", "1000", "--d", "10", "--eps0", "2"]),
     ("simulate_logistic", ["simulate", "--config", "logistic.json"]),
     ("simulate_constant", ["simulate", "--T", "50", "--k", "50", "--n", "500", "--d", "1000", "--eps0", "2",

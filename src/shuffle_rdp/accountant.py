@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, rdp_upper
+from .bounds import MAX_ORDER, CurveKind, RdpCurve, SubsampledShuffleParams, rdp_upper
 
 #: Orders scanned past the incumbent before the search gives up improving.
 EARLY_EXIT_PATIENCE = 32
@@ -78,8 +78,10 @@ class AccountantConfig:
             raise ValueError(f"T must be a positive integer, got {self.T}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.lambda_max < 2 or self.lambda_max != int(self.lambda_max):
-            raise ValueError(f"lambda_max must be an integer >= 2, got {self.lambda_max}")
+        if not 2 <= self.lambda_max <= MAX_ORDER or self.lambda_max != int(self.lambda_max):
+            raise ValueError(
+                f"lambda_max must be an integer in [2, MAX_ORDER = {MAX_ORDER}], got {self.lambda_max}"
+            )
 
 
 def compose(curve: RdpCurve, T: int) -> RdpCurve:

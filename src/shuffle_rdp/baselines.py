@@ -140,7 +140,13 @@ def baseline_total(params: SubsampledShuffleParams, T: int, delta: float) -> DpG
         raise ValueError(f"T must be a positive integer, got {T}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    g = shuffle_amplify(params.eps0, params.k, delta / 2.0 / T)
+    share = delta / 2.0 / T
+    if share == 0.0:
+        raise ValueError(
+            f"delta {delta!r} split over T={T} rounds gives each shuffle round a share "
+            f"(delta/2)/T that underflows to 0; use a larger delta or fewer rounds"
+        )
+    g = shuffle_amplify(params.eps0, params.k, share)
     g = amplify_by_subsampling(g, params.gamma)
     g = strong_compose(g, T, delta / 2.0)
     return DpGuarantee(

@@ -14,8 +14,8 @@ random permutation of the k reports.  This module evaluates:
 Both RDP bounds take one order or a sequence of them and evaluate a
 sequence as one array expression, one row per order, in chunks of at most
 _CHUNK_CELLS cells.  Orders are restricted to integers lambda >= 2, exactly
-as the closed forms are stated.  At eps0 = 0 every quantity here is
-identically zero.  Every closed form evaluates e^{eps0}, so eps0 must lie
+as the closed forms are stated, and at most MAX_ORDER.  At eps0 = 0 every
+quantity here is identically zero.  Every closed form evaluates e^{eps0}, so eps0 must lie
 in [0, EPS0_MAX], where EPS0_MAX = ln(largest double) ~ 709.78 is the
 largest eps0 whose e^{eps0} is a finite double.
 """
@@ -38,6 +38,11 @@ LOWER_BOUND_MAX_K = 100_000
 
 #: Largest eps0 whose e^{eps0} is a finite double.
 EPS0_MAX = math.log(sys.float_info.max)
+
+#: Largest order accepted: the largest whose accuracy the tests pin against
+#: 60-digit references.  It bounds one row of the upper bound's grid to
+#: 2 MAX_ORDER cells.
+MAX_ORDER = 4096
 
 # Cells per temporary (order x term) array: 64 KB stays under malloc's
 # 128 KB mmap threshold, so the temporaries reuse heap memory and peak RSS
@@ -196,9 +201,11 @@ def _orders(lam) -> np.ndarray:
     if (
         lams.ndim != 1
         or lams.dtype.kind not in "iuf"
-        or not np.all(np.isfinite(lams) & (lams >= 2) & (lams == np.floor(lams)))
+        or not np.all((lams >= 2) & (lams <= MAX_ORDER) & (lams == np.floor(lams)))
     ):
-        raise ValueError(f"order lambda must be an integer >= 2, got {lam!r}")
+        raise ValueError(
+            f"order lambda must be an integer in [2, MAX_ORDER = {MAX_ORDER}], got {lam!r}"
+        )
     return lams.astype(np.float64)
 
 

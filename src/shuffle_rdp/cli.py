@@ -38,6 +38,7 @@ from .accountant import (
 )
 from .baselines import baseline_total
 from .bounds import (
+    MAX_ORDER,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
@@ -46,6 +47,10 @@ from .bounds import (
 )
 from .checks import ALL_CHECKS
 from . import sgd
+
+
+#: Most values one --log-range may ask for; each is a point of the sweep.
+_LOG_RANGE_MAX_POINTS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -184,9 +189,19 @@ def _parse_values(raw: str, kind, flag: str) -> list:
     return vals
 
 
+def _check_order(lam: int, flag: str) -> None:
+    """Orders lie in [2, MAX_ORDER]; checked before a range of them is built."""
+    if not 2 <= lam <= MAX_ORDER:
+        raise ValueError(f"{flag} must lie in [2, MAX_ORDER = {MAX_ORDER}], got {lam}")
+
+
 def _log_range(start: float, stop: float, points: int, kind) -> list:
-    if points < 1 or start <= 0 or stop < start:
-        raise ValueError("log range requires 0 < start <= stop and points >= 1")
+    if not 1 <= points <= _LOG_RANGE_MAX_POINTS:
+        raise ValueError(
+            f"--log-range POINTS must lie in [1, {_LOG_RANGE_MAX_POINTS}], got {points}"
+        )
+    if start <= 0 or stop < start:
+        raise ValueError("--log-range requires 0 < START <= STOP")
     if points == 1:
         grid = [start]
     else:
@@ -225,9 +240,13 @@ def cmd_bound(v) -> int:
     params = SubsampledShuffleParams(n=v.n, k=v.k, eps0=v.eps0)
     if v.lambdas:
         lambdas = _parse_values(v.lambdas, _to_int, "--lambdas")
+        _check_order(lambdas[0], "--lambdas")
+        _check_order(lambdas[-1], "--lambdas")
     elif v.lambda_max is None:
         raise ValueError("provide --lambdas or --lambda-max")
     else:
+        _check_order(v.lambda_min, "--lambda-min")
+        _check_order(v.lambda_max, "--lambda-max")
         lambdas = list(range(v.lambda_min, v.lambda_max + 1))
     if not lambdas:
         raise ValueError("empty order range")

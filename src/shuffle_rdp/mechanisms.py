@@ -6,8 +6,13 @@ randomizes that sign bit with binary randomized response, and rescales so
 the output is unbiased.  Its output alphabet has 2d points, its
 worst-case second moment matches C^2 d^2 ((e^{eps0}+1)/(e^{eps0}-1))^2,
 and its kernel satisfies the eps0 likelihood-ratio bound with equality at
-the ball surface.  Clipping and randomization act on (k, d) batches, one
-client per row.
+the ball surface.
+
+The draw reads only the one coordinate it picks: vec_randomize_sparse
+takes each client's l-infinity norm and a gather of the picked values,
+and returns (coordinate, sign) pairs, so k clients cost O(k) after their
+norms are known.  vec_randomize_batch is its scatter into a dense (k, d)
+batch, one client per row, and clip_batch clips such a batch.
 
 Randomness is always a caller-owned numpy Generator; mechanism objects
 are immutable and shareable across threads.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -69,27 +75,50 @@ class VecMech:
 _BALL_SLACK = 1e-9
 
 
-def _check_in_ball(x: np.ndarray, mech: VecMech) -> np.ndarray:
+def _check_norms(norms: np.ndarray, mech: VecMech) -> None:
+    """Raise unless every l-infinity norm lies in the ball (nan passes, as before)."""
+    if np.max(norms) > mech.C * (1.0 + _BALL_SLACK):
+        raise ValueError("input outside the l-infinity ball; clip first")
+
+
+def _inputs(x: np.ndarray, mech: VecMech) -> tuple[np.ndarray, np.ndarray]:
+    """x as float64 with mech.d coordinates on its last axis, and its l-infinity norms."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mech.d:
         raise ValueError(f"expected dimension {mech.d}, got {x.shape[-1]}")
-    if np.max(np.abs(x), axis=-1).max() > mech.C * (1.0 + _BALL_SLACK):
-        raise ValueError("input outside the l-infinity ball; clip first")
-    return x
+    return x, np.max(np.abs(x), axis=-1)
+
+
+def vec_randomize_sparse(
+    gather: Callable[[np.ndarray], np.ndarray],
+    norms: np.ndarray,
+    mech: VecMech,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent draws for k inputs with l-infinity norms ``norms``, as
+    (coordinate j, sign b) arrays: client i reports scale * b[i] at j[i].
+
+    ``gather(j)`` returns each input's value at its picked coordinate, so
+    only k values are read.  E[report | x] = x.
+    """
+    _check_norms(norms, mech)
+    k = len(norms)
+    j = rng.integers(mech.d, size=k)
+    q = 0.5 + gather(j) / (2.0 * mech.C)
+    b = np.where(rng.random(k) < q, 1.0, -1.0)
+    b = np.where(rng.random(k) < mech.flip_prob, -b, b)
+    return j, b
 
 
 def vec_randomize_batch(
     X: np.ndarray, mech: VecMech, rng: np.random.Generator
 ) -> np.ndarray:
     """Independent draws for a (k, d) batch of inputs, one per row: E[output | x] = x."""
-    X = _check_in_ball(np.atleast_2d(X), mech)
-    k = X.shape[0]
-    j = rng.integers(mech.d, size=k)
-    q = 0.5 + X[np.arange(k), j] / (2.0 * mech.C)
-    b = np.where(rng.random(k) < q, 1.0, -1.0)
-    b = np.where(rng.random(k) < mech.flip_prob, -b, b)
+    X, norms = _inputs(np.atleast_2d(X), mech)
+    rows = np.arange(X.shape[0])
+    j, b = vec_randomize_sparse(lambda j: X[rows, j], norms, mech, rng)
     out = np.zeros_like(X)
-    out[np.arange(k), j] = mech.scale * b
+    out[rows, j] = mech.scale * b
     return out
 
 
@@ -99,7 +128,8 @@ def vec_kernel(x: np.ndarray, mech: VecMech) -> dict[tuple[int, int], float]:
     The alphabet has 2d points; total mass 1.  Used for the exhaustive
     likelihood-ratio check of the eps0-LDP property.
     """
-    x = _check_in_ball(x, mech)
+    x, norm = _inputs(x, mech)
+    _check_norms(norm, mech)
     p = mech.flip_prob
     kernel: dict[tuple[int, int], float] = {}
     for j in range(mech.d):

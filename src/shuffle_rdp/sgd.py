@@ -12,19 +12,26 @@ cannot change: every report is +-scale on one coordinate, so the shuffled
 batch is a histogram over 2d points, and the mean is each coordinate's
 net sign count times scale / k.  The counts are exact integers, so no
 permutation is drawn, and runs are reproducible bit-for-bit from the seed.
+
+A round never forms the (k, d) gradient batch.  Sample i's gradient is
+w_i a_i, so its l-infinity norm is |w_i| max_j |a_ij|, read from a per-row
+maximum computed once per problem; the randomizer then reads the one
+coordinate it picks.  After the k dot products a . theta, a round costs
+O(k + d).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .accountant import AccountantConfig, DpGuarantee, total_privacy
 from .bounds import SubsampledShuffleParams
-from .mechanisms import VecMech, clip_batch, vec_randomize_batch
+from .mechanisms import VecMech, clip_batch, vec_randomize_sparse
 
 LOSS_LEAST_SQUARES = "least_squares"
 LOSS_LOGISTIC = "logistic"
@@ -96,6 +103,11 @@ class ConvexProblem:
     @property
     def diameter(self) -> float:
         return 2.0 * self.radius
+
+    @cached_property
+    def row_max_abs(self) -> np.ndarray:
+        """max_j |a_ij| of every sample's features."""
+        return np.max(np.abs(self.features), axis=1)
 
     def objective(self, theta: np.ndarray) -> float:
         return _loss_value(self.loss, self.features @ theta, self.targets)
@@ -282,14 +294,29 @@ def aggregate_round(
     cfg: SgdConfig,
     t: int,
 ) -> np.ndarray:
-    """One round's mean report: gradients, clipping, randomization."""
-    clipped = clip_batch(problem.sample_grads(theta, idx), cfg.clip_radius)
+    """One round's mean report: gradients, clipping, randomization.
+
+    Equal, bit for bit, to clipping the (k, d) gradient batch with
+    clip_batch, randomizing it with vec_randomize_batch on the round's
+    generator and counting signs, without forming the batch: rounding is
+    monotone, so fl(|w_i| max_j |a_ij|) is exactly max_j |fl(w_i a_ij)|.
+    """
     if mech is None:
-        return clipped.mean(axis=0)
-    reports = vec_randomize_batch(clipped, mech, _round_rng(cfg.seed, t, 1))
+        return clip_batch(problem.sample_grads(theta, idx), cfg.clip_radius).mean(axis=0)
+    if mech.d != problem.d:
+        raise ValueError(f"the randomizer has dimension {mech.d}, the problem {problem.d}")
+    w = _grad_weights(problem.loss, problem.features[idx] @ theta, problem.targets[idx])
+    norms = np.abs(w) * problem.row_max_abs[idx]
+    factor = np.maximum(1.0, norms / cfg.clip_radius)
+    j, b = vec_randomize_sparse(
+        lambda j: w * problem.features[idx, j] / factor,
+        norms / factor,
+        mech,
+        _round_rng(cfg.seed, t, 1),
+    )
     # The shuffled reports are a histogram: net sign count times scale is
     # each coordinate's exact sum, rounded once.
-    return np.sign(reports).sum(axis=0) * mech.scale / len(idx)
+    return np.bincount(j, weights=b, minlength=mech.d) * mech.scale / len(idx)
 
 
 def run(problem: ConvexProblem, cfg: SgdConfig) -> SgdRunReport:

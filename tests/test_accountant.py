@@ -16,6 +16,7 @@ from shuffle_rdp.accountant import (
     total_privacy,
 )
 from shuffle_rdp.bounds import (
+    MAX_ORDER,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
@@ -168,6 +169,11 @@ class TestTotalPrivacy:
     def test_t_zero_rejected(self):
         with pytest.raises(ValueError):
             AccountantConfig(T=0, delta=1e-8)
+
+    def test_lambda_max_above_ceiling_rejected(self):
+        assert AccountantConfig(T=1, delta=1e-8, lambda_max=MAX_ORDER).lambda_max == MAX_ORDER
+        with pytest.raises(ValueError, match="lambda_max"):
+            AccountantConfig(T=1, delta=1e-8, lambda_max=MAX_ORDER + 1)
 
     def test_eps0_zero_is_pure_penalty(self):
         p = SubsampledShuffleParams(n=1000, k=100, eps0=0.0)

@@ -164,6 +164,12 @@ class TestBaselineTotal:
         g = baseline_total(params(10**6, 1000, 3.0), 10**5, 1e-8)
         assert g.degenerate is True
 
+    def test_underflowing_round_share_names_the_inputs(self):
+        # (delta / 2) / T underflows to 0: the error names the delta and T
+        # that were passed, not the 0.0 share.
+        with pytest.raises(ValueError, match=r"delta 1e-310 split over T=100000000000000"):
+            baseline_total(params(10**6, 1000, 2.0), 10**14, 1e-310)
+
     def test_finite_where_reciprocal_of_delta_overflows(self):
         # ln(c/delta) is computed as ln c - ln delta: c/delta overflows here.
         for delta in (1e-310, 5e-320):

@@ -8,6 +8,7 @@ import pytest
 from shuffle_rdp.accountant import AccountantConfig, total_privacy
 from shuffle_rdp.bounds import (
     EPS0_MAX,
+    MAX_ORDER,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
@@ -227,6 +228,14 @@ class TestRdpUpper:
                 rdp_upper(bad, p)
         with pytest.raises(ValueError):
             rdp_upper(2, params(100, 1, 1.0))  # premise needs k >= 2
+
+    @pytest.mark.parametrize("bound", [rdp_upper, rdp_lower])
+    def test_orders_above_ceiling_rejected(self, bound):
+        p = params(100, 10, 1.0)
+        assert math.isfinite(bound(MAX_ORDER, p))
+        for bad in (MAX_ORDER + 1, [2, MAX_ORDER + 1]):
+            with pytest.raises(ValueError, match="MAX_ORDER"):
+                bound(bad, p)
 
     def test_nondecreasing_in_eps0(self):
         grid = np.linspace(0.0, 4.0, 33)

@@ -7,7 +7,7 @@ import pytest
 
 from shuffle_rdp import cli
 from shuffle_rdp.accountant import minimize_over_orders
-from shuffle_rdp.bounds import SubsampledShuffleParams
+from shuffle_rdp.bounds import MAX_ORDER, SubsampledShuffleParams
 from shuffle_rdp.cli import _COMMANDS, main
 
 # ln(1/1e-6) - ln 4, the single-entry conversion at lambda = 2, eps = 0.
@@ -445,6 +445,56 @@ class TestRejectedInputs:
              "--record-every", every, "--out", str(out)],
             out,
             says="record_every",
+        )
+
+    def test_compare_round_share_underflow(self, tmp_path, capsys):
+        # The baseline gives each round (delta / 2) / T, which is 0 here.
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "T", "--values", "100000000000000", "--eps0", "2",
+             "--k", "1000", "--n", "1000000", "--delta", "1e-310", "--lambda-max", "8",
+             "--out", str(out)],
+            out,
+            says="delta 1e-310 split over T=100000000000000",
+        )
+
+    # Each oversized value is one past the ceiling, so no test builds a large row.
+    @pytest.mark.parametrize("flags, says", [
+        (["--lambdas", f"2,{MAX_ORDER + 1}"], "--lambdas"),
+        (["--lambdas", "1,8"], "--lambdas"),
+        (["--lambda-min", str(MAX_ORDER - 1), "--lambda-max", str(MAX_ORDER + 1)], "--lambda-max"),
+        (["--lambda-min", "1", "--lambda-max", "4"], "--lambda-min"),
+    ])
+    def test_bound_order_outside_domain(self, tmp_path, capsys, flags, says):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["bound", "--eps0", "1", "--k", "20", "--n", "200", *flags, "--out", str(out)],
+            out,
+            says=says,
+        )
+
+    def test_compare_lambda_max_above_ceiling(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "T", "--values", "10", "--eps0", "1", "--k", "20",
+             "--n", "2000", "--delta", "1e-8", "--lambda-max", str(MAX_ORDER + 1),
+             "--out", str(out)],
+            out,
+            says="lambda_max",
+        )
+
+    def test_compare_log_range_points_capped(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "eps0", "--log-range", "1", "2", "1001", "--T", "10",
+             "--k", "20", "--n", "2000", "--delta", "1e-8", "--lambda-max", "4",
+             "--out", str(out)],
+            out,
+            says="--log-range POINTS",
         )
 
     def test_simulate_zero_dimension(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from shuffle_rdp.accountant import AccountantConfig, total_privacy
 from shuffle_rdp.bounds import SubsampledShuffleParams
 from shuffle_rdp import sgd
-from shuffle_rdp.mechanisms import VecMech, vec_randomize_batch
+from shuffle_rdp.mechanisms import VecMech, clip_batch, vec_randomize_batch, vec_randomize_sparse
 from shuffle_rdp.sgd import (
     SgdConfig,
     aggregate_round,
@@ -31,8 +31,16 @@ def problem():
 
 
 @functools.cache
-def problem_of_dim(d):
-    return least_squares_problem(n=500, d=d, seed=7)
+def problem_of_dim(d, loss="least_squares"):
+    build = least_squares_problem if loss == "least_squares" else logistic_problem
+    return build(n=500, d=d, seed=7)
+
+
+def dense_round(problem, theta, idx, mech, cfg, t):
+    """The round on the dense (k, d) batch: clip, randomize, count signs."""
+    clipped = clip_batch(problem.sample_grads(theta, idx), cfg.clip_radius)
+    reports = vec_randomize_batch(clipped, mech, sgd._round_rng(cfg.seed, t, 1))
+    return np.sign(reports).sum(axis=0) * mech.scale / len(idx)
 
 
 def full_gradient(problem, theta):
@@ -192,19 +200,53 @@ class TestRunMechanics:
         idx = rng.choice(prob.n, size=k, replace=False)
         drawn = []
 
-        def draw(X, m, g):
-            drawn.append(vec_randomize_batch(X, m, g))
+        def draw(gather, norms, m, g):
+            drawn.append(vec_randomize_sparse(gather, norms, m, g))
             return drawn[-1]
 
-        monkeypatch.setattr(sgd, "vec_randomize_batch", draw)
+        monkeypatch.setattr(sgd, "vec_randomize_sparse", draw)
         mean = aggregate_round(prob, theta, idx, mech, cfg, t=1)
-        (reports,) = drawn
-        fsum_mean = np.array([math.fsum(reports[:, j]) for j in range(d)]) / k
+        ((j, b),) = drawn
+        reports = np.zeros((k, d))
+        reports[np.arange(k), j] = mech.scale * b
+        fsum_mean = np.array([math.fsum(reports[:, c]) for c in range(d)]) / k
         assert mean.tobytes() == fsum_mean.tobytes()
 
-        shuffled = reports[np.random.default_rng(13).permutation(k)]
-        monkeypatch.setattr(sgd, "vec_randomize_batch", lambda X, m, g: shuffled)
+        perm = np.random.default_rng(13).permutation(k)
+        monkeypatch.setattr(sgd, "vec_randomize_sparse", lambda *args: (j[perm], b[perm]))
         assert aggregate_round(prob, theta, idx, mech, cfg, t=1).tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("clip_share", [1.0, 0.5, 0.125])
+    @pytest.mark.parametrize("d", [1, 6, 50, 1000])
+    @pytest.mark.parametrize("loss", ["least_squares", "logistic"])
+    def test_round_equals_dense_reference(self, loss, d, clip_share):
+        # The round never forms the (k, d) batch; it must still equal the
+        # dense path bit for bit.  At clip_share 1/8 some rows are clipped,
+        # so a clip factor taken from the picked coordinate, not the row
+        # max, fails here.
+        prob = problem_of_dim(d, loss)
+        C = clip_share * prob.lipschitz
+        rng = np.random.default_rng(31)
+        theta = project(rng.normal(size=d), prob.radius)
+        for k in (1, 100):
+            idx = rng.choice(prob.n, size=k, replace=False)
+            for eps0 in (0.1, 2.0, 10.0):
+                cfg = SgdConfig(T=1, k=k, eps0=eps0, clip_radius=C, seed=17)
+                mech = VecMech(eps0=eps0, d=d, C=C)
+                got = aggregate_round(prob, theta, idx, mech, cfg, t=3)
+                want = dense_round(prob, theta, idx, mech, cfg, t=3)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("loss", ["least_squares", "logistic"])
+    def test_run_equals_dense_reference(self, monkeypatch, loss):
+        prob = problem_of_dim(50, loss)
+        cfg = SgdConfig(T=40, k=100, eps0=2.0, clip_radius=prob.lipschitz / 8, seed=9)
+        got = run(prob, cfg)
+        monkeypatch.setattr(sgd, "aggregate_round", dense_round)
+        want = run(prob, cfg)
+        assert got.objectives == want.objectives
+        assert got.theta_final.tobytes() == want.theta_final.tobytes()
+        assert got.grad_second_moment == want.grad_second_moment
 
     def test_unbiased_aggregate(self, problem):
         # Fixed model point, clipping inactive: the mean report is an

@@ -1,0 +1,148 @@
+"""Per-layer timings, written to ``BENCH_<pr>.json`` at the repository root.
+
+    python tools/bench_layers.py 12                       # this checkout only
+    python tools/bench_layers.py 12 --parent ../parent    # plus a parent column
+
+Rows, each the median over every repeat, in milliseconds:
+
+* the CLDP-SGD round: ``run`` on a least-squares problem with n = 1000,
+  k = 100, T = 200 and ``record_every`` = 100, per round, at d = 10, 50
+  and 1000 (building the problem is not timed);
+* the headline ``total_privacy`` (eps0 = 2, n = 1e6, k = 1e3, T = 1e5,
+  delta = 1e-8);
+* a ``compare`` shaped like the benchmark's ``sweep`` operation, called in
+  process: ``--axis T --values 10000,100000,1000000 --lambda-max 2048`` at
+  the headline point.
+
+Every measurement runs in a child process that imports ``shuffle_rdp`` from
+the ``src`` directory it is given.  With ``--parent``, the children
+alternate between the parent's tree and this one, ROUNDS times each, so
+that a drift of the host's speed falls on both columns alike.  Each child
+warms every row up once, then times it REPEATS times.  The file records the
+machine: CPU count, Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = 5
+REPEATS = 3
+
+SGD_DIMS = (10, 50, 1000)
+SGD_ROUNDS = 200
+HEADLINE = {"n": 10**6, "k": 1000, "eps0": 2.0, "T": 10**5, "delta": 1e-8}
+SWEEP_ARGV = [
+    "compare", "--axis", "T", "--values", "10000,100000,1000000", "--lambda-max", "2048",
+    "--eps0", "2", "--k", "1000", "--n", "1000000", "--delta", "1e-8",
+]
+
+
+def _cases(srdp, cli, tmp: Path) -> dict:
+    """Row name -> (callable, divisor of its time)."""
+    cases = {}
+    for d in SGD_DIMS:
+        prob = srdp.least_squares_problem(n=1000, d=d, seed=7)
+        cfg = srdp.SgdConfig(
+            T=SGD_ROUNDS, k=100, eps0=2.0, clip_radius=prob.lipschitz, seed=1, record_every=100
+        )
+        cases[f"sgd.run per round, k=100, d={d}"] = (lambda p=prob, c=cfg: srdp.run(p, c), SGD_ROUNDS)
+    params = srdp.SubsampledShuffleParams(n=HEADLINE["n"], k=HEADLINE["k"], eps0=HEADLINE["eps0"])
+    acct = srdp.AccountantConfig(T=HEADLINE["T"], delta=HEADLINE["delta"])
+    cases["total_privacy, headline"] = (lambda: srdp.total_privacy(params, acct), 1)
+
+    def sweep():
+        if cli.main([*SWEEP_ARGV, "--out", str(tmp / "compare")]) != 0:
+            raise RuntimeError("compare failed")
+
+    cases["compare, sweep-shaped, in process"] = (sweep, 1)
+    return cases
+
+
+def measure(src: str) -> dict:
+    """Child process: REPEATS timings of every row, in ms."""
+    sys.path.insert(0, src)
+    import shuffle_rdp as srdp
+    from shuffle_rdp import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cases = _cases(srdp, cli, Path(tmp))
+        out = {}
+        for name, (fn, per) in cases.items():
+            fn()
+            times = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                fn()
+                times.append((time.perf_counter() - t0) * 1e3 / per)
+            out[name] = times
+    return out
+
+
+def _child(src: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--measure", str(src)],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("pr", nargs="?", help="number in the output file name, BENCH_<pr>.json")
+    ap.add_argument("--parent", type=Path, help="root of a parent checkout, for a second column")
+    ap.add_argument("--measure", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if not args.pr:
+        ap.error("the number for BENCH_<pr>.json is required")
+
+    sides = {"change": ROOT / "src"}
+    if args.parent:
+        sides = {"parent": args.parent.resolve() / "src", **sides}
+    samples = {side: {} for side in sides}
+    for r in range(ROUNDS):
+        order = list(sides) if r % 2 == 0 else list(reversed(sides))
+        for side in order:
+            for name, times in _child(sides[side]).items():
+                samples[side].setdefault(name, []).extend(times)
+
+    rows = []
+    for name in samples["change"]:
+        row = {"case": name, "unit": "ms"}
+        for side in sides:
+            row[side] = round(statistics.median(samples[side][name]), 4)
+        row["repeats"] = len(samples["change"][name])
+        rows.append(row)
+    payload = {
+        "pr": args.pr,
+        "machine": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "method": f"median over {ROUNDS} child processes x {REPEATS} repeats per row, each after one warm-up",
+        "rows": rows,
+    }
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(path.read_text(), end="")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,7 +9,11 @@ random permutation of the k reports.  This module evaluates:
 * the closed-form upper bound on the order-lambda Renyi divergence of the
   subsampled shuffle mechanism, assembled from those ternary bounds;
 * the matching lower bound, the exact divergence of the binary
-  randomized-response instance, as a sum of nonnegative terms.
+  randomized-response instance, as a sum of nonnegative terms over the
+  ones-count m = 0..k, for k up to LOWER_BOUND_MAX_K = 1e6.  Each order
+  skips the m whose terms together make less than 1e-40 of its sum, found
+  from bounds on the terms that are linear in the order; the set-up of a
+  mechanism is memoized.
 
 Both RDP bounds take one order or a sequence of them and evaluate a
 sequence as one array expression, one row per order, in chunks of at most
@@ -26,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,8 +38,10 @@ from scipy.special import gammaln
 
 from .logspace import binom_log_pmf, log_binomial_row, log_expm1
 
-#: Hard cap used by the lower bound's O(k) sum per order.
-LOWER_BOUND_MAX_K = 100_000
+#: Largest k the lower bound accepts.  Setting up one mechanism briefly
+#: holds about ten arrays of k + 1 doubles (8 MB each at this k), and a
+#: `compare` over orders up to 2048 at this k takes about a second.
+LOWER_BOUND_MAX_K = 1_000_000
 
 #: Largest eps0 whose e^{eps0} is a finite double.
 EPS0_MAX = math.log(sys.float_info.max)
@@ -44,13 +51,19 @@ EPS0_MAX = math.log(sys.float_info.max)
 #: 2 MAX_ORDER cells.
 MAX_ORDER = 4096
 
-# Cells per temporary (order x term) array: 64 KB stays under malloc's
+# Cells per temporary (order x term) array: 96 KB stays under malloc's
 # 128 KB mmap threshold, so the temporaries reuse heap memory and peak RSS
-# does not grow (at 2**15 a `compare` sweep's rose by about 1.2 MB).
-_CHUNK_CELLS = 2**13
+# does not grow (at 2**15 a `compare` sweep's rose by about 1.2 MB).  It
+# also fits a block of 32 orders of the lower bound at k = 1e3 (about 290
+# columns) in one chunk.
+_CHUNK_CELLS = 3 * 2**12
 
 #: Largest lambda ln(1 + u) summed in linear space; e^700 is still finite.
 _LOG_SUM_SWITCH = 700.0
+
+# The lower bound drops the terms below e^{-cut} of a row's largest, with
+# cut = _DROP_BELOW + ln(k + 1): together they are under 1e-40 of its sum.
+_DROP_BELOW = math.log(1e40) + 1.0
 
 # Taylor coefficients of e^t - 1 - t (from t^2) and of ln(1 + u) - u (from
 # u^2).  Below |x| = 0.01 the first omitted term is under 1e-17 relative.
@@ -283,13 +296,17 @@ def _rr2_ratio_minus_one(k: int, eps0: float) -> np.ndarray:
 
 
 def _series_below(x: np.ndarray, value: np.ndarray, coeffs: list[float]) -> np.ndarray:
-    """value, except x^2 (coeffs[0] + coeffs[1] x + ...) where |x| < 0.01."""
+    """value, except x^2 (coeffs[0] + coeffs[1] x + ...) where |x| < 0.01.
+
+    The polynomial runs on those cells only; ``value`` is overwritten.
+    """
     small = np.abs(x) < 0.01
-    x = np.where(small, x, 0.0)
+    x = x[small]
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         acc = acc * x + c
-    return np.where(small, x * x * acc, value)
+    value[small] = x * x * acc
+    return value
 
 
 def _bracket(lam_col: np.ndarray, u: np.ndarray, log1p_u: np.ndarray, log1p_minus_u: np.ndarray):
@@ -308,6 +325,111 @@ def _bracket(lam_col: np.ndarray, u: np.ndarray, log1p_u: np.ndarray, log1p_minu
         return np.where(np.abs(t) < 1.0, split, e - lam_col * u)
 
 
+def _window(envelopes, lo: float, hi: float, cut: float) -> slice:
+    """One slice of columns that holds, for every order in [lo, hi], the
+    columns its row keeps and the peak of its lower bound.
+
+    ``envelopes(lam)`` gives a lower and an upper bound on each column's log
+    term, both linear in lam.  A row keeps the columns whose upper bound
+    reaches the peak of its lower bound less ``cut`` (see :func:`_kept`).
+    Between lo and hi a column's upper bound is at most the larger of its
+    two end values, and a row's lower-bound peak at least the largest of the
+    smaller ones.  Rounding is monotone, so this holds in floating point too.
+    """
+    (lower_lo, upper_lo), (lower_hi, upper_hi) = envelopes(lo), envelopes(hi)
+    floor = np.minimum(lower_lo, lower_hi).max() - cut
+    at = np.flatnonzero(np.maximum(upper_lo, upper_hi) >= floor)
+    return slice(at[0], at[-1] + 1)
+
+
+def _kept(lower: np.ndarray, upper: np.ndarray, cut: float) -> np.ndarray:
+    """The cells whose upper bound reaches their row's lower-bound peak less cut."""
+    return upper >= lower.max(axis=1, keepdims=True) - cut
+
+
+class _LinearTerms:
+    """mu0 [(1+u)^lambda - 1 - lambda u] over a slice of m, summed in linear space.
+
+    By Taylor's remainder a bracket lies between C(lambda,2) u^2
+    min(1, (1+u)^{lambda-2}) and the same with max.  Without the row's common
+    factor C(lambda,2), their logs are a + (lambda-2) min(0, ln(1+u)) and
+    a + (lambda-2) max(0, ln(1+u)), with a = ln mu0 + 2 ln|u|.
+    """
+
+    def __init__(self, log_mu0: np.ndarray, u: np.ndarray, log1p_u: np.ndarray):
+        with np.errstate(divide="ignore"):  # a = -inf where u = 0
+            self.a = log_mu0 + 2.0 * np.log(np.abs(u))
+        # ln(1+u) = -inf only at u = -1, where the bracket is lambda - 1: any
+        # slope <= -1/2 still bounds it from below, and a finite one keeps
+        # (lambda - 2) * slope a number at lambda = 2.
+        self.down = np.clip(log1p_u, -_LOG_SUM_SWITCH, 0.0)
+        self.up = np.maximum(log1p_u, 0.0)
+        self.log_mu0, self.u, self.log1p_u = log_mu0, u, log1p_u
+
+    # Built on first use, so the set-up's full-width instance never builds them.
+    @cached_property
+    def mu0(self) -> np.ndarray:
+        return np.exp(self.log_mu0)
+
+    @cached_property
+    def log1p_minus_u(self) -> np.ndarray:
+        return _series_below(self.u, self.log1p_u - self.u, _LOG1P_SERIES)
+
+    def envelopes(self, lam, cols=slice(None)):
+        lam, a = lam - 2.0, self.a[cols]
+        return a + lam * self.down[cols], a + lam * self.up[cols]
+
+    def sums(self, lam_col: np.ndarray, cols: slice, cut: float) -> np.ndarray:
+        """ln(1 + the sum of each row's kept terms)."""
+        kept = _kept(*self.envelopes(lam_col, cols), cut)
+        terms = _bracket(lam_col, self.u[cols], self.log1p_u[cols], self.log1p_minus_u[cols])
+        terms *= self.mu0[cols]
+        return np.log1p(np.cumsum(np.where(kept, terms, 0.0), axis=1)[:, -1])
+
+
+class _LogTerms:
+    """ln mu0 + lambda ln(1+u) over a slice of m, summed in log space.  Each
+    term is linear in lambda, so it is its own lower and upper envelope."""
+
+    def __init__(self, log_mu0: np.ndarray, u: np.ndarray, log1p_u: np.ndarray):
+        self.log_mu0, self.log1p_u = log_mu0, log1p_u
+
+    def envelopes(self, lam, cols=slice(None)):
+        t = self.log_mu0[cols] + lam * self.log1p_u[cols]
+        return t, t
+
+    def sums(self, lam_col: np.ndarray, cols: slice, cut: float) -> np.ndarray:
+        """ln of the sum of each row's kept terms."""
+        t, _ = self.envelopes(lam_col, cols)
+        return _row_logsumexp(np.where(_kept(t, t, cut), t, -np.inf))
+
+
+@lru_cache(maxsize=2)
+def _lower_terms(params: SubsampledShuffleParams):
+    """(max_m ln(1+u_m), cut, branches) for :func:`rdp_lower`, built once
+    per mechanism.
+
+    Each of the two branches, linear space and log space, holds its terms
+    over only the m that some order of it up to MAX_ORDER keeps.
+    """
+    eps0, k = params.eps0, params.k
+    log_mu0 = binom_log_pmf(k, 1.0 / (math.exp(eps0) + 1.0))
+    u = params.gamma * _rr2_ratio_minus_one(k, eps0)
+    with np.errstate(divide="ignore"):  # u_0 = -1 once gamma = 1 and e^{-eps0} rounds away
+        log1p_u = np.log1p(u)
+    cut = _DROP_BELOW + math.log(k + 1.0)
+    log1p_u_max = log1p_u[-1]  # u_m grows with m
+    orders = np.arange(2.0, MAX_ORDER + 1.0)
+    linear = orders * log1p_u_max < _LOG_SUM_SWITCH
+    branches = []
+    for kind, at in ((_LinearTerms, orders[linear]), (_LogTerms, orders[~linear])):
+        cols = slice(0)
+        if at.size:
+            cols = _window(kind(log_mu0, u, log1p_u).envelopes, at[0], at[-1], cut)
+        branches.append(kind(*(x[cols].copy() for x in (log_mu0, u, log1p_u))))
+    return log1p_u_max, cut, branches
+
+
 def rdp_lower(lam, params: SubsampledShuffleParams):
     """Lower bound on the order-lambda RDP of the subsampled shuffle mechanism.
 
@@ -324,6 +446,17 @@ def rdp_lower(lam, params: SubsampledShuffleParams):
     binomial central-moment terms.  Orders with some lambda ln(1+u_m) >= 700
     sum ln sum_m mu0(m) (1+u_m)^lambda in log space instead.  Accepts k = 1
     (the expression is well defined there, unlike the upper bound's premise).
+
+    Each row sums only the terms that can reach e^{-cut} of its largest,
+    cut = ln(1e40) + ln(k+1) + 1: the terms it drops sum to less than 1e-40
+    of the row's sum, and a subset of nonnegative terms still sums to a
+    lower bound.  Bounds on each log term that are linear in lambda (see
+    :class:`_LinearTerms`) pick those terms, and at the lowest and highest
+    order asked for they give one slice of m that holds the kept terms and
+    the peak of every order in between: 286 of 1001 columns at k = 1e3,
+    9726 of 1,000,001 at k = 1e6 (gamma = 1e-3, orders 2..33).  Each row
+    is summed in sequence, with exact zeros outside its kept terms, so a
+    value does not depend on which other orders are asked for with it.
     """
     lams = _orders(lam)
     eps0, k = params.eps0, params.k
@@ -331,26 +464,16 @@ def rdp_lower(lam, params: SubsampledShuffleParams):
     if eps0 == 0.0:
         return _shaped(out, lam)
     if k > LOWER_BOUND_MAX_K:
-        raise ValueError(f"lower bound uses O(k) sums per order; k={k} exceeds {LOWER_BOUND_MAX_K}")
-    log_mu0 = binom_log_pmf(k, 1.0 / (math.exp(eps0) + 1.0))
-    u = params.gamma * _rr2_ratio_minus_one(k, eps0)
-    with np.errstate(divide="ignore"):  # u_0 = -1 once gamma = 1 and e^{-eps0} rounds away
-        log1p_u = np.log1p(u)
-    linear = lams * log1p_u[-1] < _LOG_SUM_SWITCH  # u_m grows with m
-    mu0 = np.exp(log_mu0)
-    kept = mu0 > 0.0  # in linear space the other terms are exact zeros
-    mu0, u, log1p_u_kept = mu0[kept], u[kept], log1p_u[kept]
-    log1p_minus_u = _series_below(u, log1p_u_kept - u, _LOG1P_SERIES)
-    at = np.flatnonzero(linear)
-    for rows in _row_chunks(at.size, mu0.size):
-        lam_col = lams[at[rows], None]
-        terms = _bracket(lam_col, u, log1p_u_kept, log1p_minus_u) * mu0
-        s = np.sum(terms, axis=1)  # every row has the same width, so the same pairwise sum
-        out[at[rows]] = np.log1p(s) / (lam_col[:, 0] - 1.0)
-    at = np.flatnonzero(~linear)
-    for rows in _row_chunks(at.size, k + 1):
-        lam_col = lams[at[rows], None]
-        out[at[rows]] = _row_logsumexp(log_mu0 + lam_col * log1p_u) / (lam_col[:, 0] - 1.0)
+        raise ValueError(f"the lower bound accepts k <= {LOWER_BOUND_MAX_K}, got k={k}")
+    log1p_u_max, cut, branches = _lower_terms(params)
+    linear = lams * log1p_u_max < _LOG_SUM_SWITCH
+    for at, terms in zip((np.flatnonzero(linear), np.flatnonzero(~linear)), branches):
+        if not at.size:
+            continue
+        cols = _window(terms.envelopes, lams[at].min(), lams[at].max(), cut)
+        for rows in _row_chunks(at.size, cols.stop - cols.start):
+            out[at[rows]] = terms.sums(lams[at[rows], None], cols, cut)
+    out /= lams - 1.0
     return _shaped(out, lam)
 
 

@@ -54,9 +54,12 @@ def log_expm1(x: float) -> float:
     return math.log(math.expm1(x))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def binom_log_pmf(k: int, p: float) -> np.ndarray:
     """log pmf of Bin(k, p) over m = 0..k (read-only, memoized per (k, p)).
+
+    The memo keeps two entries, enough for the 2RR oracle's (k, p) and
+    (k - 1, p); one entry is 8 MB at k = 1e6.
 
     For 0 < p < 1 the entries are shifted so that their logsumexp is 0:
     the gammaln differences lose digits as k grows, and every sum over

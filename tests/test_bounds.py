@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from shuffle_rdp import bounds
 from shuffle_rdp.accountant import AccountantConfig, total_privacy
 from shuffle_rdp.bounds import (
     EPS0_MAX,
@@ -20,6 +21,7 @@ from shuffle_rdp.bounds import (
     zeta_shuffle,
     zeta_special,
 )
+from shuffle_rdp.logspace import binom_log_pmf
 
 # Independent high-precision scalar evaluations, frozen as constants.
 ZETA_SPECIAL_2_100_1 = 0.043446450785219505  # 4 (e-1)^2 / (100 e)
@@ -276,6 +278,57 @@ class TestRdpLower:
             rdp_lower(1, params(100, 10, 1.0))
         with pytest.raises(ValueError):
             rdp_lower(2.5, params(100, 10, 1.0))
+
+
+class TestLowerWindow:
+    """rdp_lower sums each order's window of m; these hold it to the sum of
+    all k + 1 terms."""
+
+    @staticmethod
+    def full_sum(lam, p):
+        # Every term, summed in sequence.  The brackets come from the kernel's
+        # own _bracket (TestHighPrecision pins those); what this pins is which
+        # m are summed.
+        eps0, k = p.eps0, p.k
+        log_mu0 = binom_log_pmf(k, 1.0 / (math.exp(eps0) + 1.0))
+        u = p.gamma * bounds._rr2_ratio_minus_one(k, eps0)
+        with np.errstate(divide="ignore"):
+            log1p_u = np.log1p(u)
+        if lam * log1p_u[-1] >= 700:
+            t = log_mu0 + lam * log1p_u
+            return (t.max() + math.log(np.cumsum(np.exp(t - t.max()))[-1])) / (lam - 1)
+        log1p_minus_u = bounds._series_below(u, log1p_u - u, bounds._LOG1P_SERIES)
+        terms = bounds._bracket(np.array([[lam]], float), u, log1p_u, log1p_minus_u)
+        return math.log1p(np.cumsum(terms[0] * np.exp(log_mu0))[-1]) / (lam - 1)
+
+    # gamma = 1 sums orders >= 350 in log space (eps0 = 2).
+    LAMS = [2, 3, 33, 349, 350, 2048, MAX_ORDER]
+
+    @pytest.mark.parametrize("gamma_inv", [1000, 1])
+    @pytest.mark.parametrize("k", [10**3, 10**5, 10**6])
+    def test_equals_full_sum(self, k, gamma_inv):
+        p = params(k * gamma_inv, k, 2.0)
+        got = rdp_lower(self.LAMS, p)
+        want = [self.full_sum(lam, p) for lam in self.LAMS]
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma_inv", [1000, 1])
+    def test_value_does_not_depend_on_block(self, gamma_inv):
+        p = params(10**5 * gamma_inv, 10**5, 2.0)
+        assert rdp_lower(self.LAMS, p).tolist() == [rdp_lower(lam, p) for lam in self.LAMS]
+
+    def test_block_evaluates_a_narrow_window(self, monkeypatch):
+        widths = []
+
+        def spy(lam_col, u, *rest):
+            widths.append(u.size)
+            return bracket(lam_col, u, *rest)
+
+        bracket = bounds._bracket
+        monkeypatch.setattr(bounds, "_bracket", spy)
+        k = 10**4
+        rdp_lower(range(2, 34), params(1000 * k, k, 2.0))
+        assert widths and max(widths) < k / 5
 
 
 class TestSandwich:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from shuffle_rdp import cli
+from shuffle_rdp import bounds, cli
 from shuffle_rdp.accountant import minimize_over_orders
 from shuffle_rdp.bounds import MAX_ORDER, SubsampledShuffleParams
 from shuffle_rdp.cli import _COMMANDS, main
@@ -496,6 +496,30 @@ class TestRejectedInputs:
             out,
             says="--log-range POINTS",
         )
+
+    def test_compare_k_above_lower_bound_ceiling(self, tmp_path, capsys, monkeypatch):
+        # Refused before the lower bound builds any array of k + 1 values.
+        def no_columns(*args):
+            raise AssertionError("an O(k) array was built")
+
+        monkeypatch.setattr(bounds, "binom_log_pmf", no_columns)
+        monkeypatch.setattr(bounds, "_rr2_ratio_minus_one", no_columns)
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "T", "--values", "10", "--eps0", "2",
+             "--k", "1000001", "--n", "10000000000", "--delta", "1e-8",
+             "--lambda-max", "8", "--out", str(out)],
+            out,
+            says="k <= 1000000",
+        )
+
+    def test_compare_k_at_lower_bound_ceiling(self, tmp_path):
+        assert main(["compare", "--axis", "T", "--values", "10", "--eps0", "2",
+                     "--k", "1000000", "--n", "1000000000", "--delta", "1e-8",
+                     "--lambda-max", "64", "--out", str(tmp_path)]) == 0
+        _, ours, _, lower = (tmp_path / "compare.csv").read_text().splitlines()[1].split(",")
+        assert 0 < float(lower) <= float(ours)
 
     def test_simulate_zero_dimension(self, tmp_path, capsys):
         out = tmp_path / "o"

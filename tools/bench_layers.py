@@ -12,7 +12,14 @@ Rows, each the median over every repeat, in milliseconds:
   delta = 1e-8);
 * a ``compare`` shaped like the benchmark's ``sweep`` operation, called in
   process: ``--axis T --values 10000,100000,1000000 --lambda-max 2048`` at
-  the headline point.
+  the headline point;
+* ``rdp_lower`` over orders 2..2048 in one call, at gamma = 1e-3 and
+  eps0 = 2, for k = 1e3 and k = 1e4 (the warm-up builds the per-mechanism
+  set-up, so the timed calls measure the sums over orders);
+* the same ``compare`` at the lower bound's ceiling k = 1e6, n = 1e9.
+
+A row whose call fails in one tree (a ``compare`` that a parent's k ceiling
+refuses) reads null there.
 
 Every measurement runs in a child process that imports ``shuffle_rdp`` from
 the ``src`` directory it is given.  With ``--parent``, the children
@@ -48,6 +55,11 @@ SWEEP_ARGV = [
     "compare", "--axis", "T", "--values", "10000,100000,1000000", "--lambda-max", "2048",
     "--eps0", "2", "--k", "1000", "--n", "1000000", "--delta", "1e-8",
 ]
+CEILING_ARGV = [
+    "compare", "--axis", "T", "--values", "10000,100000,1000000",
+    "--eps0", "2", "--k", "1000000", "--n", "1000000000", "--delta", "1e-8",
+]
+LOWER_KS = (10**3, 10**4)
 
 
 def _cases(srdp, cli, tmp: Path) -> dict:
@@ -63,11 +75,18 @@ def _cases(srdp, cli, tmp: Path) -> dict:
     acct = srdp.AccountantConfig(T=HEADLINE["T"], delta=HEADLINE["delta"])
     cases["total_privacy, headline"] = (lambda: srdp.total_privacy(params, acct), 1)
 
-    def sweep():
-        if cli.main([*SWEEP_ARGV, "--out", str(tmp / "compare")]) != 0:
+    def compare(argv):
+        if cli.main([*argv, "--out", str(tmp / "compare")]) != 0:
             raise RuntimeError("compare failed")
 
-    cases["compare, sweep-shaped, in process"] = (sweep, 1)
+    cases["compare, sweep-shaped, in process"] = (lambda: compare(SWEEP_ARGV), 1)
+    orders = list(range(2, 2049))
+    for k in LOWER_KS:
+        p = srdp.SubsampledShuffleParams(n=1000 * k, k=k, eps0=2.0)
+        cases[f"rdp_lower, orders 2..2048, k={k}, gamma=1e-3"] = (
+            lambda p=p: srdp.rdp_lower(orders, p), 1
+        )
+    cases["compare, k=1e6, n=1e9, in process"] = (lambda: compare(CEILING_ARGV), 1)
     return cases
 
 
@@ -81,7 +100,11 @@ def measure(src: str) -> dict:
         cases = _cases(srdp, cli, Path(tmp))
         out = {}
         for name, (fn, per) in cases.items():
-            fn()
+            try:
+                fn()
+            except RuntimeError:
+                out[name] = []
+                continue
             times = []
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
@@ -125,7 +148,8 @@ def main() -> int:
     for name in samples["change"]:
         row = {"case": name, "unit": "ms"}
         for side in sides:
-            row[side] = round(statistics.median(samples[side][name]), 4)
+            times = samples[side][name]
+            row[side] = round(statistics.median(times), 4) if times else None
         row["repeats"] = len(samples["change"][name])
         rows.append(row)
     payload = {

@@ -2,8 +2,9 @@
 
 Runs ``bound``, ``compose``, ``convert`` (one at a delta below 1/DBL_MAX),
 ``compare`` (axes T, n and eps0, an eps0 log range that repeats one value,
-plus a T sweep whose baseline is amplified, not degenerate, and whose lower
-bound scans deep at the smallest T) and four ``simulate`` runs into a
+a T sweep whose baseline is amplified, not degenerate, and whose lower
+bound scans deep at the smallest T, plus a T sweep at the lower bound's
+ceiling k = 1e6) and four ``simulate`` runs into a
 temporary directory, then prints ``sha256  path`` for every file written,
 sorted by path.  Two checkouts whose digests match write byte-identical
 files for this set:
@@ -41,6 +42,8 @@ RUNS = [
                    "--k", "1000", "--n", "1000000", "--delta", "1e-8"]),
     ("compare_T_amplified", ["compare", "--axis", "T", "--values", "1000,10000,100000", "--eps0", "2",
                              "--k", "10000", "--n", "10000000", "--delta", "1e-8"]),
+    ("compare_T_k1e6", ["compare", "--axis", "T", "--values", "10000,100000,1000000", "--eps0", "2",
+                        "--k", "1000000", "--n", "1000000000", "--delta", "1e-8"]),
     ("compare_n", ["compare", "--axis", "n", "--values", "10000,100000,1000000", "--eps0", "1",
                    "--k", "100", "--T", "1000", "--delta", "1e-8", "--lambda-max", "256"]),
     ("compare_eps0", ["compare", "--axis", "eps0", "--values", "0.5,1,2,4", "--k", "100",

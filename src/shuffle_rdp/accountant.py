@@ -5,10 +5,13 @@ minimizes, over the tabulated integer orders, the standard penalty
 
     eps(lambda) + (ln(1/delta) + (lambda-1) ln(1-1/lambda) - ln lambda) / (lambda-1).
 
-The search over orders walks the integer grid upward, asking the RDP
-function for EARLY_EXIT_PATIENCE orders at a time, and stops once the
-objective has failed to improve for that many consecutive orders; the
-objective is empirically unimodal in the order.
+The search over orders walks the integer grid upward and stops once the
+objective has failed to improve for EARLY_EXIT_PATIENCE consecutive orders;
+the objective is empirically unimodal in the order.  It asks the RDP
+function for blocks of at most EARLY_EXIT_PATIENCE orders, each ending no
+later than EARLY_EXIT_PATIENCE orders past the incumbent argmin, so it
+computes exactly the orders 2..argmin + EARLY_EXIT_PATIENCE it reads.  The
+penalties of a block come from per-order tables in one array expression.
 """
 
 from __future__ import annotations
@@ -104,22 +107,26 @@ def dp_penalty(lam: int, delta: float) -> float:
     ) / (lam - 1)
 
 
+# dp_penalty's parts that depend on the order alone, indexed by lambda:
+# (lambda - 1) ln(1 - 1/lambda), ln lambda and lambda - 1, each computed
+# as dp_penalty computes it, so a block's penalties match it bit for bit.
+_PENALTY_A = np.fromiter(
+    (0.0 if lam < 2 else (lam - 1) * math.log1p(-1.0 / lam) for lam in range(MAX_ORDER + 1)),
+    float,
+)
+_PENALTY_B = np.fromiter((0.0 if lam < 2 else math.log(lam) for lam in range(MAX_ORDER + 1)), float)
+_ORDER_MINUS_ONE = np.arange(-1.0, MAX_ORDER)
+
+
 def _scan(
-    pairs: Iterable[tuple[int, float]], delta: float, patience: Optional[int] = None
-) -> tuple[float, Optional[int], float]:
-    """(clamped eps, argmin lambda, unclamped eps) of eps + penalty(lambda) over
-    the pairs, read until ``patience`` of them in a row fail to improve on the
-    best.  With no finite objective there is no argmin: (inf, None, inf)."""
-    best = math.inf
-    best_lam = None
-    best_at = -1
-    for i, (lam, eps) in enumerate(pairs):
-        obj = eps + dp_penalty(lam, delta)
+    pairs: Iterable[tuple[int, float]], best: float = math.inf, best_lam: Optional[int] = None
+) -> tuple[float, Optional[int]]:
+    """(min, argmin) of the (lambda, objective) pairs and the incumbent
+    (best, best_lam); the first of equal minima wins."""
+    for lam, obj in pairs:
         if obj < best:
-            best, best_lam, best_at = obj, lam, i
-        elif i - best_at == patience:
-            break
-    return max(best, 0.0), best_lam, best
+            best, best_lam = obj, lam
+    return best, best_lam
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
@@ -127,9 +134,9 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
     minimum over every entry, clamped at zero, with the raw minimum kept."""
     if not curve.entries:
         raise ValueError("curve must contain at least one entry")
-    eps, lam, raw = _scan(curve.entries, delta)
+    raw, lam = _scan((lam, eps + dp_penalty(lam, delta)) for lam, eps in curve.entries)
     return DpGuarantee(
-        eps=eps,
+        eps=max(raw, 0.0),
         delta=delta,
         provenance=_KIND_TO_PROVENANCE[curve.kind],
         argmin_lambda=lam,
@@ -143,15 +150,31 @@ def minimize_over_orders(
     delta: float,
     lambda_max: int = DEFAULT_LAMBDA_MAX,
 ) -> tuple[float, Optional[int], float]:
-    """min over lambda in {2..lambda_max} of T eps_fn(lambda) + penalty(lambda),
-    returned as _scan returns it.  ``eps_fn`` maps a range of orders to their
-    eps values; the scan asks it for EARLY_EXIT_PATIENCE orders at a time."""
-    blocks = (
-        range(lo, min(lo + EARLY_EXIT_PATIENCE, lambda_max + 1))
-        for lo in range(2, lambda_max + 1, EARLY_EXIT_PATIENCE)
-    )
-    pairs = (p for b in blocks for p in zip(b, (float(T) * np.asarray(eps_fn(b))).tolist()))
-    return _scan(pairs, delta, EARLY_EXIT_PATIENCE)
+    """(clamped eps, argmin lambda, unclamped eps) of the minimum over lambda
+    in {2..lambda_max} of T eps_fn(lambda) + dp_penalty(lambda, delta).  With
+    no finite objective there is no argmin: (inf, None, inf).
+
+    ``eps_fn`` maps a range of orders to their eps values.  The scan stops
+    EARLY_EXIT_PATIENCE orders past the incumbent argmin (lambda = 1 before
+    the first improvement), so it reads the orders 2..argmin +
+    EARLY_EXIT_PATIENCE.  Each block it asks for holds at most
+    EARLY_EXIT_PATIENCE orders and ends at the last order the incumbent at
+    its start lets it read, so no order is computed that the scan skips.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    neg_log_delta = -math.log(delta)
+    best, best_lam = math.inf, 1
+    lo = 2
+    while lo <= min(best_lam + EARLY_EXIT_PATIENCE, lambda_max):
+        stop = min(lo, best_lam + 1) + EARLY_EXIT_PATIENCE
+        block = range(lo, min(stop, lambda_max + 1))
+        at = slice(block.start, block.stop)
+        penalty = ((neg_log_delta + _PENALTY_A[at]) - _PENALTY_B[at]) / _ORDER_MINUS_ONE[at]
+        objective = float(T) * np.asarray(eps_fn(block)) + penalty
+        best, best_lam = _scan(zip(block, objective.tolist()), best, best_lam)
+        lo = block.stop
+    return max(best, 0.0), (best_lam if best_lam > 1 else None), best
 
 
 def total_privacy(

@@ -34,9 +34,10 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
-from .logspace import binom_log_pmf, log_binomial_row, log_expm1
+from .logspace import binom_log_pmf, log_expm1
 
 #: Largest k the lower bound accepts.  Setting up one mechanism briefly
 #: holds about ten arrays of k + 1 doubles (8 MB each at this k), and a
@@ -64,6 +65,21 @@ _LOG_SUM_SWITCH = 700.0
 # The lower bound drops the terms below e^{-cut} of a row's largest, with
 # cut = _DROP_BELOW + ln(k + 1): together they are under 1e-40 of its sum.
 _DROP_BELOW = math.log(1e40) + 1.0
+
+# Tables the upper bound reads its rows from.  _LOG_FACTORIAL holds ln i! at
+# index MAX_ORDER + i for i = -MAX_ORDER..MAX_ORDER, with gammaln's +inf
+# poles at i < 0, so ln C(lambda, j) = ln lambda! - ln j! - ln (lambda - j)!
+# is -inf where j > lambda.  Two views of it read, for j = 2, 3, ..., ln j!
+# and, in row MAX_ORDER + 2 - lambda, ln (lambda - j)!.  The others hold j,
+# ln j and ln Gamma(j/2) for j = 2..MAX_ORDER.
+_LOG_FACTORIAL = np.concatenate(
+    [np.full(MAX_ORDER, np.inf), gammaln(np.arange(1.0, MAX_ORDER + 2.0))]
+)
+_LOG_FACTORIAL_J = _LOG_FACTORIAL[MAX_ORDER + 2:]
+_LOG_FACTORIAL_DOWN = sliding_window_view(_LOG_FACTORIAL[::-1], MAX_ORDER)
+_J = np.arange(2.0, MAX_ORDER + 1.0)
+_LOG_J = np.log(_J)
+_LOG_GAMMA_HALF_J = gammaln(_J / 2.0)
 
 # Taylor coefficients of e^t - 1 - t (from t^2) and of ln(1 + u) - u (from
 # u^2).  Below |x| = 0.01 the first omitted term is under 1e-17 relative.
@@ -210,16 +226,18 @@ def zeta_shuffle(alpha: int, k: int, eps0: float) -> ZetaBound:
 
 def _orders(lam) -> np.ndarray:
     """One integer order or a sequence of them, checked, as a float array."""
-    lams = np.atleast_1d(np.asarray(lam))
+    given = np.atleast_1d(np.asarray(lam))
+    lams = given.astype(np.float64)
     if (
-        lams.ndim != 1
-        or lams.dtype.kind not in "iuf"
-        or not np.all((lams >= 2) & (lams <= MAX_ORDER) & (lams == np.floor(lams)))
+        given.ndim != 1
+        or given.dtype.kind not in "iuf"
+        or lams.size
+        and not (2 <= lams.min() and lams.max() <= MAX_ORDER and (lams == np.floor(lams)).all())
     ):
         raise ValueError(
             f"order lambda must be an integer in [2, MAX_ORDER = {MAX_ORDER}], got {lam!r}"
         )
-    return lams.astype(np.float64)
+    return lams
 
 
 def _shaped(values: np.ndarray, lam):
@@ -266,19 +284,23 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
         return _shaped(out, lam)
     kb = kbar(k, eps0)
     log_gamma_s = math.log(params.gamma)
-    j = np.arange(2.0, lams.max() + 1.0)
+    n_j = int(lams.max()) - 1
+    j = _J[:n_j]
     log_base = math.log(2.0) + 2.0 * log_expm1(2.0 * eps0) - math.log(kb) - 2.0 * eps0
-    ternary = j * log_gamma_s + np.log(j) + gammaln(j / 2.0) + (j / 2.0) * log_base
+    ternary = j * log_gamma_s + _LOG_J[:n_j] + _LOG_GAMMA_HALF_J[:n_j] + (j / 2.0) * log_base
     ternary[0] = math.log(4.0) + 2.0 * log_gamma_s + 2.0 * log_expm1(eps0) - math.log(kb) - eps0
     upsilon = j * (log_gamma_s + _log_2sinh(eps0)) - (k - 1) / (8.0 * math.exp(eps0))
-    for rows in _row_chunks(lams.size, 2 * j.size):
-        lam_col = lams[rows, None]
-        width = int(lam_col.max()) - 1
-        binom = log_binomial_row(lam_col, j[:width])  # -inf past each row's order
-        log_s = _row_logsumexp(
-            np.concatenate([binom + ternary[:width], binom + upsilon[:width]], axis=1)
-        )
-        out[rows] = np.logaddexp(0.0, log_s) / (lam_col[:, 0] - 1.0)
+    orders = lams.astype(np.intp)
+    for rows in _row_chunks(lams.size, 2 * n_j):
+        o = orders[rows]
+        width = int(o.max()) - 1
+        binom = (
+            _LOG_FACTORIAL[MAX_ORDER + o, None] - _LOG_FACTORIAL_J[:width]
+        ) - _LOG_FACTORIAL_DOWN[MAX_ORDER + 2 - o, :width]
+        cells = np.empty((o.size, 2 * width))
+        np.add(binom, ternary[:width], out=cells[:, :width])
+        np.add(binom, upsilon[:width], out=cells[:, width:])
+        out[rows] = np.logaddexp(0.0, _row_logsumexp(cells)) / (lams[rows] - 1.0)
     return _shaped(out, lam)
 
 

@@ -21,12 +21,13 @@ override.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .accountant import (
     DEFAULT_LAMBDA_MAX,
@@ -65,9 +66,13 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write payload as JSON; a non-finite number raises before the file opens."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name} would hold a non-finite number: {exc}") from exc
     with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _out_dir(path: str) -> Path:
@@ -279,6 +284,22 @@ def cmd_compose(v) -> int:
     return 0
 
 
+def _prefix_curves(bound: Callable) -> Callable:
+    """bound(block, params) for blocks of orders from a scan that starts at
+    2, computing only the orders past the prefix already known for params."""
+    curves: dict[SubsampledShuffleParams, np.ndarray] = {}
+
+    def curve(block: range, params: SubsampledShuffleParams) -> np.ndarray:
+        known = curves.get(params, np.empty(0))
+        if block.stop - 2 > known.size:
+            known = curves[params] = np.concatenate(
+                [known, bound(range(known.size + 2, block.stop), params)]
+            )
+        return known[block.start - 2:block.stop - 2]
+
+    return curve
+
+
 def _compare_point(
     params: SubsampledShuffleParams, cfg: AccountantConfig, upper: Callable, lower: Callable
 ) -> tuple[str, str, str]:
@@ -315,8 +336,8 @@ def cmd_compare(v) -> int:
         )
         for at in (dict(fixed, **{v.axis: x}) for x in values)
     ]
-    # RDP composes linearly in T: every T point scans the same blocks, computed once.
-    upper, lower = functools.cache(rdp_upper), functools.cache(rdp_lower)
+    # RDP composes linearly in T, so every point of one mechanism reads one curve.
+    upper, lower = _prefix_curves(rdp_upper), _prefix_curves(rdp_lower)
     results = [_compare_point(params, cfg, upper, lower) for params, cfg in points]
     axis_fmt = str if kind is _to_int else _fmt
     rows = [

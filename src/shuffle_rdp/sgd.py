@@ -334,12 +334,17 @@ def run(problem: ConvexProblem, cfg: SgdConfig) -> SgdRunReport:
     theta = np.zeros(problem.d)
     rounds: list[int] = [0]
     objectives: list[float] = [problem.objective(theta)]
+    # Each round's ||g_bar||^2 is finite, but T of them may overflow: sum
+    # them scaled by 2^-c with 2^c > T.  Scaling by a power of two commutes
+    # with rounding, so the mean is the plain sum's, bit for bit, unless a
+    # scaled term falls below the smallest normal double.
+    c = int(cfg.T).bit_length()
     sq_norm_sum = 0.0
 
     for t in range(1, cfg.T + 1):
         idx = _round_rng(cfg.seed, t, 0).choice(problem.n, size=cfg.k, replace=False)
         g_bar = aggregate_round(problem, theta, idx, mech, cfg, t)
-        sq_norm_sum += float(g_bar @ g_bar)
+        sq_norm_sum += math.ldexp(float(g_bar @ g_bar), -c)
         theta = project(theta - eta(t) * g_bar, problem.radius)
         if t % record_every == 0 or t == cfg.T:
             rounds.append(t)
@@ -354,7 +359,7 @@ def run(problem: ConvexProblem, cfg: SgdConfig) -> SgdRunReport:
         objectives=objectives,
         final_suboptimality=objectives[-1] - problem.f_star,
         privacy=privacy,
-        grad_second_moment=sq_norm_sum / cfg.T,
+        grad_second_moment=math.ldexp(sq_norm_sum / cfg.T, c),
         theta_final=theta,
     )
 

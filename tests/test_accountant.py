@@ -146,15 +146,15 @@ class TestMinimizeOverOrders:
 
     def test_asks_only_for_the_blocks_it_scans(self):
         # The scan stops EARLY_EXIT_PATIENCE orders past the argmin, and
-        # asks for no block beyond the one holding that order.
+        # asks for no order beyond that one.
         p = SubsampledShuffleParams(n=10**6, k=1000, eps0=2.0)
         blocks = []
         _, lam, _ = minimize_over_orders(
             lambda block: blocks.append(block) or rdp_upper(block, p), 10**5, 1e-8
         )
         assert lam == 28
-        assert blocks == [range(2, 34), range(34, 66)]
-        assert lam + EARLY_EXIT_PATIENCE in blocks[-1]
+        assert blocks == [range(2, 34), range(34, 61)]
+        assert blocks[-1][-1] == lam + EARLY_EXIT_PATIENCE
 
     def test_no_finite_objective_has_no_argmin(self):
         blocks = []

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from shuffle_rdp import bounds, cli
-from shuffle_rdp.accountant import minimize_over_orders
+from shuffle_rdp.accountant import AccountantConfig, minimize_over_orders
 from shuffle_rdp.bounds import MAX_ORDER, SubsampledShuffleParams
 from shuffle_rdp.cli import _COMMANDS, main
 
@@ -259,6 +259,36 @@ class TestCompare:
                          "--out", str(out)]) == 0
             assert (out / "compare.csv").read_text().splitlines()[1:] == [row]
 
+    def test_T_points_compute_each_order_once(self, tmp_path):
+        # --values must increase, so the deepest scan (the smallest T) comes
+        # first on the command line; here the points run in the other
+        # order, so each scan reaches past the orders the last one computed.
+        # Each bound still computes each order of the mechanism once, and
+        # the rows stay those of one-value sweeps.
+        Ts = (10000, 1000, 100)
+        fixed = ["--eps0", "1", "--k", "100", "--n", "10000", "--delta", "1e-8",
+                 "--lambda-max", "512"]
+        params = SubsampledShuffleParams(n=10000, k=100, eps0=1.0)
+        computed, calls = [], []
+
+        def counted(bound):
+            def fn(lam, params):
+                calls.append(bound.__name__)
+                computed.extend((bound.__name__, params, order) for order in lam)
+                return bound(lam, params)
+            return cli._prefix_curves(fn)
+
+        upper, lower = counted(bounds.rdp_upper), counted(bounds.rdp_lower)
+        for T in Ts:
+            cfg = AccountantConfig(T=T, delta=1e-8, lambda_max=512)
+            row = ",".join([str(T), *cli._compare_point(params, cfg, upper, lower)])
+            out = tmp_path / str(T)
+            assert main(["compare", "--axis", "T", "--values", str(T), *fixed,
+                         "--out", str(out)]) == 0
+            assert (out / "compare.csv").read_text().splitlines()[1:] == [row]
+        assert len(computed) == len(set(computed))
+        assert calls.count("rdp_upper") > 1 and calls.count("rdp_lower") > 1
+
 
 class TestSimulate:
     ARGS = [
@@ -305,6 +335,28 @@ class TestSimulate:
         assert rc == 0
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert float(rows[2].split(",")[1]) > 1.0  # not ln 2, the objective at theta = 0
+
+    def test_second_moment_whose_sum_overflows(self, tmp_path):
+        # Each round's ||g_bar||^2 is a finite double, but 200 of them sum
+        # past the largest one.  The report holds their finite mean as
+        # strict JSON.
+        rc = main(
+            ["simulate", "--T", "200", "--k", "10", "--eps0", "1", "--d", "1000",
+             "--clip-radius", "3e150", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+
+        def reject(name):
+            raise AssertionError(f"privacy.json holds {name}")
+
+        payload = json.loads((tmp_path / "privacy.json").read_text(), parse_constant=reject)
+        assert 1e306 < payload["grad_second_moment"] < math.inf
+
+    def test_json_never_holds_a_non_finite_number(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._write_json(path, {"x": math.inf})
+        assert not path.exists()
 
     def test_bad_cohort_exit2(self, tmp_path):
         rc = main(

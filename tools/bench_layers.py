@@ -16,7 +16,16 @@ Rows, each the median over every repeat, in milliseconds:
 * ``rdp_lower`` over orders 2..2048 in one call, at gamma = 1e-3 and
   eps0 = 2, for k = 1e3 and k = 1e4 (the warm-up builds the per-mechanism
   set-up, so the timed calls measure the sums over orders);
-* the same ``compare`` at the lower bound's ceiling k = 1e6, n = 1e9.
+* the same ``compare`` at the lower bound's ceiling k = 1e6, n = 1e9;
+* ``rdp_upper`` over orders 2..33 and 34..65 at the headline point, the
+  first two full blocks an order scan can ask for, per call over a loop
+  of BLOCK_CALLS calls.
+
+Three rows are counts, not times: the blocks, the orders and the upper
+bound's cells (per chunk, its rows times both halves of its (order x
+term) grid) that ``total_privacy`` evaluates per query, averaged over
+QUERY_POINTS points of the benchmark's query box
+(``perfbench/workloads.py``, seed 1).
 
 A row whose call fails in one tree (a ``compare`` that a parent's k ceiling
 refuses) reads null there.
@@ -60,6 +69,9 @@ CEILING_ARGV = [
     "--eps0", "2", "--k", "1000000", "--n", "1000000000", "--delta", "1e-8",
 ]
 LOWER_KS = (10**3, 10**4)
+UPPER_BLOCKS = (range(2, 34), range(34, 66))
+BLOCK_CALLS = 200  # a block takes about 0.1 ms, so time a loop of calls
+QUERY_POINTS = 3000
 
 
 def _cases(srdp, cli, tmp: Path) -> dict:
@@ -87,11 +99,51 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             lambda p=p: srdp.rdp_lower(orders, p), 1
         )
     cases["compare, k=1e6, n=1e9, in process"] = (lambda: compare(CEILING_ARGV), 1)
+    for block in UPPER_BLOCKS:
+        cases[f"rdp_upper, orders {block[0]}..{block[-1]}, headline"] = (
+            lambda b=block: [srdp.rdp_upper(b, params) for _ in range(BLOCK_CALLS)], BLOCK_CALLS
+        )
     return cases
 
 
+def _query_counts(srdp) -> dict:
+    """Blocks, orders and upper-bound cells that total_privacy evaluates per query."""
+    from shuffle_rdp import accountant
+    from shuffle_rdp.bounds import _row_chunks
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import Query
+
+    blocks = orders = cells = 0
+    rdp_upper = accountant.rdp_upper
+
+    def counted(lam, params):
+        nonlocal blocks, orders, cells
+        lams = np.atleast_1d(lam)
+        blocks += 1
+        orders += lams.size
+        for rows in _row_chunks(lams.size, 2 * (int(lams.max()) - 1)):
+            cells += 2 * lams[rows].size * (int(lams[rows].max()) - 1)
+        return rdp_upper(lam, params)
+
+    accountant.rdp_upper = counted
+    try:
+        for p in Query().inputs(1, QUERY_POINTS, ROOT):
+            srdp.total_privacy(
+                srdp.SubsampledShuffleParams(n=p["n"], k=p["k"], eps0=p["eps0"]),
+                srdp.AccountantConfig(T=p["T"], delta=p["delta"]),
+            )
+    finally:
+        accountant.rdp_upper = rdp_upper
+    return {
+        "total_privacy, blocks per query, query box": blocks / QUERY_POINTS,
+        "total_privacy, orders per query, query box": orders / QUERY_POINTS,
+        "total_privacy, rdp_upper cells per query, query box": cells / QUERY_POINTS,
+    }
+
+
 def measure(src: str) -> dict:
-    """Child process: REPEATS timings of every row, in ms."""
+    """Child process: REPEATS timings of every row, in ms, and the query counts."""
     sys.path.insert(0, src)
     import shuffle_rdp as srdp
     from shuffle_rdp import cli
@@ -111,7 +163,7 @@ def measure(src: str) -> dict:
                 fn()
                 times.append((time.perf_counter() - t0) * 1e3 / per)
             out[name] = times
-    return out
+    return {"ms": out, "count": _query_counts(srdp)}
 
 
 def _child(src: Path) -> dict:
@@ -138,11 +190,14 @@ def main() -> int:
     if args.parent:
         sides = {"parent": args.parent.resolve() / "src", **sides}
     samples = {side: {} for side in sides}
+    counts = {}
     for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(reversed(sides))
         for side in order:
-            for name, times in _child(sides[side]).items():
+            child = _child(sides[side])
+            for name, times in child["ms"].items():
                 samples[side].setdefault(name, []).extend(times)
+            counts[side] = child["count"]
 
     rows = []
     for name in samples["change"]:
@@ -152,6 +207,8 @@ def main() -> int:
             row[side] = round(statistics.median(times), 4) if times else None
         row["repeats"] = len(samples["change"][name])
         rows.append(row)
+    for name in counts["change"]:
+        rows.append({"case": name, "unit": "count", **{side: round(counts[side][name], 2) for side in sides}})
     payload = {
         "pr": args.pr,
         "machine": {

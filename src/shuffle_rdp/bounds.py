@@ -16,12 +16,14 @@ random permutation of the k reports.  This module evaluates:
   mechanism is memoized.
 
 Both RDP bounds take one order or a sequence of them and evaluate a
-sequence as one array expression, one row per order, in chunks of at most
-_CHUNK_CELLS cells.  Orders are restricted to integers lambda >= 2, exactly
-as the closed forms are stated, and at most MAX_ORDER.  At eps0 = 0 every
-quantity here is identically zero.  Every closed form evaluates e^{eps0}, so eps0 must lie
-in [0, EPS0_MAX], where EPS0_MAX = ln(largest double) ~ 709.78 is the
-largest eps0 whose e^{eps0} is a finite double.
+sequence as one array expression over a (term x order) grid, in chunks of
+at most _CHUNK_CELLS cells.  Each order's terms are summed down its column
+in sequence, so a value does not depend on which other orders are asked
+for with it.  Orders are restricted to integers lambda >= 2, exactly as the
+closed forms are stated, and at most MAX_ORDER.  At eps0 = 0 every
+quantity here is identically zero.  Every closed form evaluates e^{eps0}, so
+eps0 must lie in [0, EPS0_MAX], where EPS0_MAX = ln(largest double) ~ 709.78
+is the largest eps0 whose e^{eps0} is a finite double.
 """
 
 from __future__ import annotations
@@ -48,16 +50,26 @@ LOWER_BOUND_MAX_K = 1_000_000
 EPS0_MAX = math.log(sys.float_info.max)
 
 #: Largest order accepted: the largest whose accuracy the tests pin against
-#: 60-digit references.  It bounds one row of the upper bound's grid to
+#: 60-digit references.  It bounds one column of the upper bound's grid to
 #: 2 MAX_ORDER cells.
 MAX_ORDER = 4096
 
-# Cells per temporary (order x term) array: 96 KB stays under malloc's
+# Cells per temporary grid: 96 KB stays under malloc's
 # 128 KB mmap threshold, so the temporaries reuse heap memory and peak RSS
 # does not grow (at 2**15 a `compare` sweep's rose by about 1.2 MB).  It
 # also fits a block of 32 orders of the lower bound at k = 1e3 (about 290
 # columns) in one chunk.
 _CHUNK_CELLS = 3 * 2**12
+
+# A grid of at least this many orders is summed by one reduce, vectorized
+# across the orders (see _column_sums), and the upper bound stores it
+# C-ordered, one row per term, for that.  A narrower chunk of the upper
+# bound is stored F-ordered, one contiguous column per order, so that
+# numpy's elementwise loops run down the columns, not along rows of a few
+# cells.  The lower bound stores every grid F-ordered, built as (order x m)
+# rows: its ten or so elementwise passes per sum outweigh the sum even at
+# 32 orders.
+_WIDE_CHUNK = 16
 
 #: Largest lambda ln(1 + u) summed in linear space; e^700 is still finite.
 _LOG_SUM_SWITCH = 700.0
@@ -66,18 +78,20 @@ _LOG_SUM_SWITCH = 700.0
 # cut = _DROP_BELOW + ln(k + 1): together they are under 1e-40 of its sum.
 _DROP_BELOW = math.log(1e40) + 1.0
 
-# Tables the upper bound reads its rows from.  _LOG_FACTORIAL holds ln i! at
-# index MAX_ORDER + i for i = -MAX_ORDER..MAX_ORDER, with gammaln's +inf
+# Tables the upper bound reads its columns from.  _LOG_FACTORIAL holds ln i!
+# at index MAX_ORDER + i for i = -MAX_ORDER..MAX_ORDER, with gammaln's +inf
 # poles at i < 0, so ln C(lambda, j) = ln lambda! - ln j! - ln (lambda - j)!
 # is -inf where j > lambda.  Two views of it read, for j = 2, 3, ..., ln j!
-# and, in row MAX_ORDER + 2 - lambda, ln (lambda - j)!.  The others hold j,
-# ln j and ln Gamma(j/2) for j = 2..MAX_ORDER.
+# (a column) and, in column MAX_ORDER + 2 - lambda, ln (lambda - j)!.  The
+# others hold j, ln j and ln Gamma(j/2) for j = 2..MAX_ORDER; _J, read-only,
+# also holds the orders of a range.
 _LOG_FACTORIAL = np.concatenate(
     [np.full(MAX_ORDER, np.inf), gammaln(np.arange(1.0, MAX_ORDER + 2.0))]
 )
-_LOG_FACTORIAL_J = _LOG_FACTORIAL[MAX_ORDER + 2:]
-_LOG_FACTORIAL_DOWN = sliding_window_view(_LOG_FACTORIAL[::-1], MAX_ORDER)
+_LOG_FACTORIAL_J = _LOG_FACTORIAL[MAX_ORDER + 2:, None]
+_LOG_FACTORIAL_DOWN = sliding_window_view(_LOG_FACTORIAL[::-1], MAX_ORDER + 1)
 _J = np.arange(2.0, MAX_ORDER + 1.0)
+_J.flags.writeable = False
 _LOG_J = np.log(_J)
 _LOG_GAMMA_HALF_J = gammaln(_J / 2.0)
 
@@ -226,6 +240,8 @@ def zeta_shuffle(alpha: int, k: int, eps0: float) -> ZetaBound:
 
 def _orders(lam) -> np.ndarray:
     """One integer order or a sequence of them, checked, as a float array."""
+    if isinstance(lam, range) and lam.step == 1 and 2 <= lam.start and lam.stop <= MAX_ORDER + 1:
+        return _J[lam.start - 2:lam.stop - 2]
     given = np.atleast_1d(np.asarray(lam))
     lams = given.astype(np.float64)
     if (
@@ -242,20 +258,29 @@ def _orders(lam) -> np.ndarray:
 
 def _shaped(values: np.ndarray, lam):
     """A float for one order, the array for a sequence."""
-    return float(values[0]) if np.ndim(lam) == 0 else values
+    return values if isinstance(lam, range) or np.ndim(lam) else float(values[0])
 
 
-def _row_chunks(n_rows: int, width: int):
-    """Slices of at most _CHUNK_CELLS cells' worth of rows (at least one row)."""
-    step = max(1, _CHUNK_CELLS // width)
-    return (slice(i, i + step) for i in range(0, n_rows, step))
+def _order_chunks(n_orders: int, n_terms: int):
+    """Slices of at most _CHUNK_CELLS cells' worth of orders (at least one)."""
+    step = max(1, _CHUNK_CELLS // n_terms)
+    return (slice(i, i + step) for i in range(0, n_orders, step))
 
 
-def _row_logsumexp(cells: np.ndarray) -> np.ndarray:
-    """ln sum exp of each row.  The sum runs in sequence, so a row's value
-    does not depend on the other rows or on -inf cells (exact zeros)."""
-    top = cells.max(axis=1, keepdims=True)
-    return top[:, 0] + np.log(np.cumsum(np.exp(cells - top), axis=1)[:, -1])
+def _column_sums(cells: np.ndarray) -> np.ndarray:
+    """The sum of each column of a (term x order) grid, added in sequence
+    down the column, so that a column's value depends neither on the other
+    columns nor on cells that hold an exact zero.
+
+    numpy reduces a C-ordered grid row after row, vectorized across the
+    columns and in sequence down each; a lone or F-ordered column it would
+    sum pairwise.  So a grid of at least _WIDE_CHUNK columns is reduced in C
+    order (copied into it if need be), and a narrower one is summed by a
+    cumsum down its columns.
+    """
+    if cells.shape[1] < _WIDE_CHUNK:
+        return np.cumsum(cells, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(cells), axis=0)
 
 
 def rdp_upper(lam, params: SubsampledShuffleParams):
@@ -273,7 +298,7 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
         Upsilon = ((1 + A)^lambda - 1 - lambda A) e^{-(k-1)/(8 e^{eps0})} with
         A = gamma (e^{2 eps0}-1)/e^{eps0}, expanded binomially so it stays in
         log space even when (1 + A)^lambda overflows.
-    Each order is one row of an (order x j) grid of these log terms.
+    Each order is one column of a (j x order) grid of these log terms.
     """
     lams = _orders(lam)
     if params.k < 2:
@@ -291,16 +316,21 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
     ternary[0] = math.log(4.0) + 2.0 * log_gamma_s + 2.0 * log_expm1(eps0) - math.log(kb) - eps0
     upsilon = j * (log_gamma_s + _log_2sinh(eps0)) - (k - 1) / (8.0 * math.exp(eps0))
     orders = lams.astype(np.intp)
-    for rows in _row_chunks(lams.size, 2 * n_j):
-        o = orders[rows]
-        width = int(o.max()) - 1
-        binom = (
-            _LOG_FACTORIAL[MAX_ORDER + o, None] - _LOG_FACTORIAL_J[:width]
-        ) - _LOG_FACTORIAL_DOWN[MAX_ORDER + 2 - o, :width]
-        cells = np.empty((o.size, 2 * width))
-        np.add(binom, ternary[:width], out=cells[:, :width])
-        np.add(binom, upsilon[:width], out=cells[:, width:])
-        out[rows] = np.logaddexp(0.0, _row_logsumexp(cells)) / (lams[rows] - 1.0)
+    for at in _order_chunks(lams.size, 2 * n_j):
+        o = orders[at]
+        height = int(o.max()) - 1
+        binom = np.subtract(
+            _LOG_FACTORIAL[MAX_ORDER + o],
+            _LOG_FACTORIAL_J[:height],
+            order="C" if o.size >= _WIDE_CHUNK else "F",
+        )
+        binom -= _LOG_FACTORIAL_DOWN[:height, MAX_ORDER + 2 - o]
+        cells = np.empty_like(binom, shape=(2 * height, o.size))
+        np.add(binom, ternary[:height, None], out=cells[:height])
+        np.add(binom, upsilon[:height, None], out=cells[height:])
+        top = cells.max(axis=0)
+        log_sum = top + np.log(_column_sums(np.exp(cells - top)))
+        out[at] = np.logaddexp(0.0, log_sum) / (lams[at] - 1.0)
     return _shaped(out, lam)
 
 
@@ -406,7 +436,7 @@ class _LinearTerms:
         kept = _kept(*self.envelopes(lam_col, cols), cut)
         terms = _bracket(lam_col, self.u[cols], self.log1p_u[cols], self.log1p_minus_u[cols])
         terms *= self.mu0[cols]
-        return np.log1p(np.cumsum(np.where(kept, terms, 0.0), axis=1)[:, -1])
+        return np.log1p(_column_sums(np.where(kept, terms, 0.0).T))
 
 
 class _LogTerms:
@@ -423,7 +453,9 @@ class _LogTerms:
     def sums(self, lam_col: np.ndarray, cols: slice, cut: float) -> np.ndarray:
         """ln of the sum of each row's kept terms."""
         t, _ = self.envelopes(lam_col, cols)
-        return _row_logsumexp(np.where(_kept(t, t, cut), t, -np.inf))
+        top = t.max(axis=1, keepdims=True)
+        scaled = np.where(_kept(t, t, cut), np.exp(t - top), 0.0)
+        return top[:, 0] + np.log(_column_sums(scaled.T))
 
 
 @lru_cache(maxsize=2)
@@ -476,9 +508,11 @@ def rdp_lower(lam, params: SubsampledShuffleParams):
     :class:`_LinearTerms`) pick those terms, and at the lowest and highest
     order asked for they give one slice of m that holds the kept terms and
     the peak of every order in between: 286 of 1001 columns at k = 1e3,
-    9726 of 1,000,001 at k = 1e6 (gamma = 1e-3, orders 2..33).  Each row
-    is summed in sequence, with exact zeros outside its kept terms, so a
-    value does not depend on which other orders are asked for with it.
+    9726 of 1,000,001 at k = 1e6 (gamma = 1e-3, orders 2..33).  The rows
+    of each (order x m) array are the columns of an F-ordered (m x order)
+    grid, which :func:`_column_sums` adds in sequence, with exact zeros
+    outside each order's kept terms, so a value does not depend on which
+    other orders are asked for with it.
     """
     lams = _orders(lam)
     eps0, k = params.eps0, params.k
@@ -493,7 +527,7 @@ def rdp_lower(lam, params: SubsampledShuffleParams):
         if not at.size:
             continue
         cols = _window(terms.envelopes, lams[at].min(), lams[at].max(), cut)
-        for rows in _row_chunks(at.size, cols.stop - cols.start):
+        for rows in _order_chunks(at.size, cols.stop - cols.start):
             out[at[rows]] = terms.sums(lams[at[rows], None], cols, cut)
     out /= lams - 1.0
     return _shaped(out, lam)

@@ -21,6 +21,7 @@ override.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -447,6 +448,10 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple[Param, ...]]] = {
 }
 
 
+# Built once per process: parsing leaves the parser as it was, and a caller
+# that runs `main` many times in process would otherwise rebuild six
+# subparsers on every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shuffle-rdp",

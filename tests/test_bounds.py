@@ -235,7 +235,7 @@ class TestRdpUpper:
     def test_orders_above_ceiling_rejected(self, bound):
         p = params(100, 10, 1.0)
         assert math.isfinite(bound(MAX_ORDER, p))
-        for bad in (MAX_ORDER + 1, [2, MAX_ORDER + 1]):
+        for bad in (MAX_ORDER + 1, [2, MAX_ORDER + 1], range(1, 5), range(30, MAX_ORDER + 2)):
             with pytest.raises(ValueError, match="MAX_ORDER"):
                 bound(bad, p)
 
@@ -329,6 +329,39 @@ class TestLowerWindow:
         k = 10**4
         rdp_lower(range(2, 34), params(1000 * k, k, 2.0))
         assert widths and max(widths) < k / 5
+
+
+class TestOneOrderEqualsBlock:
+    """One order alone is a lone column, summed by a cumsum; inside a block
+    of at least _WIDE_CHUNK orders it is one column of a reduce.  Both add
+    the same cells in the same order, so the values agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            [2046, 2047, 2048],
+            [2048, 30, 2],
+            [MAX_ORDER, MAX_ORDER - 1, 2],
+            list(range(350, 385)),  # chunks of 16, 16 and 3 orders
+        ],
+    )
+    def test_upper_at_tall_columns(self, block):
+        p = params(10**6, 1000, 2.0)
+        assert rdp_upper(block, p).tolist() == [rdp_upper(lam, p) for lam in block]
+
+    def test_lower_on_both_sides_of_the_log_space_switch(self):
+        # gamma = 1 and eps0 = 2 sum orders >= 350 in log space.
+        p = params(1000, 1000, 2.0)
+        block = [2, 3, *range(320, 380), 2048, MAX_ORDER]
+        assert rdp_lower(block, p).tolist() == [rdp_lower(lam, p) for lam in block]
+
+    @pytest.mark.parametrize("bound", [rdp_upper, rdp_lower])
+    def test_range_equals_its_list(self, bound):
+        p = params(10**6, 1000, 2.0)
+        for block in (range(2, 34), range(34, 61), range(2, 40, 3), range(9, 9)):
+            got = bound(block, p)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == bound(list(block), p).tolist()
 
 
 class TestSandwich:

@@ -88,6 +88,25 @@ def test_converted_eps_is_nondecreasing_in_T(p, Ts, delta, lambda_max):
 
 
 @SETTINGS
+@given(
+    p=mechanisms(k_min=2),
+    n_over_k=st.lists(st.sampled_from([1, 2, 10, 1000, 10**6]), min_size=2, max_size=4, unique=True),
+    T=st.integers(1, 10**6),
+    delta=st.sampled_from([1e-12, 1e-8, 1e-5]),
+    lambda_max=st.integers(2, 512),
+)
+def test_converted_eps_is_nondecreasing_in_gamma(p, n_over_k, T, delta, lambda_max):
+    # At fixed k and eps0, gamma = k/n grows as n falls.
+    mechs = [replace(p, n=p.k * r) for r in sorted(n_over_k, reverse=True)]
+    for bound in (rdp_upper, rdp_lower):
+        eps = [
+            minimize_over_orders(lambda lam: bound(lam, q), T, delta, lambda_max)[0]
+            for q in mechs
+        ]
+        assert eps == sorted(eps)
+
+
+@SETTINGS
 @given(p=mechanisms(k_min=2).map(lambda p: replace(p, eps0=0.0)), lams=orders)
 def test_both_bounds_are_zero_at_eps0_zero(p, lams):
     for bound in (rdp_upper, rdp_lower):

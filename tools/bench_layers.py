@@ -9,7 +9,7 @@ Rows, each the median over every repeat, in milliseconds:
   k = 100, T = 200 and ``record_every`` = 100, per round, at d = 10, 50
   and 1000 (building the problem is not timed);
 * the headline ``total_privacy`` (eps0 = 2, n = 1e6, k = 1e3, T = 1e5,
-  delta = 1e-8);
+  delta = 1e-8), per call over a loop of BLOCK_CALLS calls;
 * a ``compare`` shaped like the benchmark's ``sweep`` operation, called in
   process: ``--axis T --values 10000,100000,1000000 --lambda-max 2048`` at
   the headline point;
@@ -19,11 +19,12 @@ Rows, each the median over every repeat, in milliseconds:
 * the same ``compare`` at the lower bound's ceiling k = 1e6, n = 1e9;
 * ``rdp_upper`` over orders 2..33 and 34..65 at the headline point, the
   first two full blocks an order scan can ask for, per call over a loop
-  of BLOCK_CALLS calls.
+  of BLOCK_CALLS calls, and over orders 2..2048 in one call, whose chunks
+  hold a few tall columns each.
 
 Three rows are counts, not times: the blocks, the orders and the upper
-bound's cells (per chunk, its rows times both halves of its (order x
-term) grid) that ``total_privacy`` evaluates per query, averaged over
+bound's cells (per chunk, its columns times both halves of its (term x
+order) grid) that ``total_privacy`` evaluates per query, averaged over
 QUERY_POINTS points of the benchmark's query box
 (``perfbench/workloads.py``, seed 1).
 
@@ -70,7 +71,7 @@ CEILING_ARGV = [
 ]
 LOWER_KS = (10**3, 10**4)
 UPPER_BLOCKS = (range(2, 34), range(34, 66))
-BLOCK_CALLS = 200  # a block takes about 0.1 ms, so time a loop of calls
+BLOCK_CALLS = 200  # a block or a headline query takes 0.1-0.3 ms: time a loop of calls
 QUERY_POINTS = 3000
 
 
@@ -85,7 +86,9 @@ def _cases(srdp, cli, tmp: Path) -> dict:
         cases[f"sgd.run per round, k=100, d={d}"] = (lambda p=prob, c=cfg: srdp.run(p, c), SGD_ROUNDS)
     params = srdp.SubsampledShuffleParams(n=HEADLINE["n"], k=HEADLINE["k"], eps0=HEADLINE["eps0"])
     acct = srdp.AccountantConfig(T=HEADLINE["T"], delta=HEADLINE["delta"])
-    cases["total_privacy, headline"] = (lambda: srdp.total_privacy(params, acct), 1)
+    cases["total_privacy, headline"] = (
+        lambda: [srdp.total_privacy(params, acct) for _ in range(BLOCK_CALLS)], BLOCK_CALLS
+    )
 
     def compare(argv):
         if cli.main([*argv, "--out", str(tmp / "compare")]) != 0:
@@ -103,27 +106,29 @@ def _cases(srdp, cli, tmp: Path) -> dict:
         cases[f"rdp_upper, orders {block[0]}..{block[-1]}, headline"] = (
             lambda b=block: [srdp.rdp_upper(b, params) for _ in range(BLOCK_CALLS)], BLOCK_CALLS
         )
+    cases["rdp_upper, orders 2..2048, headline"] = (lambda: srdp.rdp_upper(orders, params), 1)
     return cases
 
 
 def _query_counts(srdp) -> dict:
     """Blocks, orders and upper-bound cells that total_privacy evaluates per query."""
-    from shuffle_rdp import accountant
-    from shuffle_rdp.bounds import _row_chunks
+    from shuffle_rdp import accountant, bounds
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Query
 
     blocks = orders = cells = 0
     rdp_upper = accountant.rdp_upper
+    # Older trees name the chunk helper _row_chunks.
+    chunks = getattr(bounds, "_order_chunks", None) or bounds._row_chunks
 
     def counted(lam, params):
         nonlocal blocks, orders, cells
         lams = np.atleast_1d(lam)
         blocks += 1
         orders += lams.size
-        for rows in _row_chunks(lams.size, 2 * (int(lams.max()) - 1)):
-            cells += 2 * lams[rows].size * (int(lams[rows].max()) - 1)
+        for at in chunks(lams.size, 2 * (int(lams.max()) - 1)):
+            cells += 2 * lams[at].size * (int(lams[at].max()) - 1)
         return rdp_upper(lam, params)
 
     accountant.rdp_upper = counted

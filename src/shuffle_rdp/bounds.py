@@ -15,6 +15,10 @@ random permutation of the k reports.  This module evaluates:
   from bounds on the terms that are linear in the order; the set-up of a
   mechanism is memoized.
 
+Each bound also states, as a :class:`GrowthFloor`, what its curve implies
+about orders not computed (``RDP_UPPER_FLOOR``, ``RDP_LOWER_FLOOR``); the
+accountant's order search builds its floors from that.
+
 Both RDP bounds take one order or a sequence of them and evaluate a
 sequence as one array expression over a (term x order) grid, in chunks of
 at most _CHUNK_CELLS cells.  Each order's terms are summed down its column
@@ -283,6 +287,70 @@ def _column_sums(cells: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(cells), axis=0)
 
 
+class GrowthFloor(Enum):
+    """What an RDP bound's curve tells about g(lambda) = (lambda - 1) eps(lambda)
+    at orders not computed, beyond g being nondecreasing (true of every
+    curve here).
+
+    ``CONVEX``: g is convex in lambda.  ``BINOMIAL``: g = ln(1 + S) with S a
+    sum of C(lambda, j) c_j over j >= 2, every c_j >= 0.  Then for
+    lambda > a and 2 <= j <= a, C(lambda, j) / C(a, j) is at least
+    C(lambda, 2) / C(a, 2), and S(a) has no terms past j = a, so
+    S(lambda) >= S(a) C(lambda, 2) / C(a, 2).  At a = 2 that is the closed
+    form S(lambda) >= C(lambda, 2) c_2, and it only rises with a.
+    """
+
+    MONOTONE = "monotone"
+    CONVEX = "convex"
+    BINOMIAL = "binomial"
+
+
+def _upper_log_terms(params: SubsampledShuffleParams, n_j: int):
+    """(ternary, upsilon): the logs of the j-th ternary and Upsilon terms of
+    :func:`rdp_upper`'s S without their C(lambda, j), for j = 2..n_j + 1;
+    eps0 > 0 and k >= 2."""
+    eps0, k = params.eps0, params.k
+    kb = kbar(k, eps0)
+    log_gamma_s = math.log(params.gamma)
+    j = _J[:n_j]
+    log_base = math.log(2.0) + 2.0 * log_expm1(2.0 * eps0) - math.log(kb) - 2.0 * eps0
+    ternary = j * log_gamma_s + _LOG_J[:n_j] + _LOG_GAMMA_HALF_J[:n_j] + (j / 2.0) * log_base
+    ternary[0] = math.log(4.0) + 2.0 * log_gamma_s + 2.0 * log_expm1(eps0) - math.log(kb) - eps0
+    upsilon = j * (log_gamma_s + _log_2sinh(eps0)) - (k - 1) / (8.0 * math.exp(eps0))
+    return ternary, upsilon
+
+
+@lru_cache(maxsize=2)
+def _upper_log_coefficients(params: SubsampledShuffleParams) -> np.ndarray:
+    """ln c_j = ln(x_j + y_j) for j = 2..MAX_ORDER, where rdp_upper's S
+    is the sum of C(lambda, j) c_j (read-only, memoized per mechanism)."""
+    out = np.logaddexp(*_upper_log_terms(params, MAX_ORDER - 1))
+    out.setflags(write=False)
+    return out
+
+
+def rdp_upper_term_lines(params: SubsampledShuffleParams, lo: int, hi: int):
+    """Two lines (q, slope), q + slope lambda, each below (lambda - 1) times
+    :func:`rdp_upper` at every order in lo..hi (2 <= lo <= hi, eps0 > 0,
+    k >= 2).
+
+    g = ln(1 + S) >= u(lambda) = ln C(lambda, j) + ln c_j, the log of any one
+    of S's terms with j <= lambda.  u is concave in lambda (its slope
+    psi(lambda + 1) - psi(lambda - j + 1) falls), so its chord from lo to
+    hi lies below it.  The lines take the j <= lo whose term is largest at
+    lo, and at hi, and are yielded in that order.  Each is lowered by 1e-9
+    relative for rounding, as the order search's floors are.
+    """
+    log_c = _upper_log_coefficients(params)
+    fact = _LOG_FACTORIAL[MAX_ORDER:]  # ln i!
+    term = log_c[:lo - 1] - fact[2:lo + 1]  # ln c_j - ln j!, j = 2..lo
+    for at in (lo, hi):
+        j = int(np.argmax(term - fact[at - lo:at - 1][::-1])) + 2  # - ln (at - j)!
+        u_lo, u_hi = (float(fact[x] - fact[x - j] + term[j - 2]) for x in (lo, hi))
+        slope = (u_hi - u_lo) / (hi - lo) if hi > lo else 0.0
+        yield u_lo - 1e-9 * (abs(u_lo) + abs(u_hi)) - slope * lo, slope
+
+
 def rdp_upper(lam, params: SubsampledShuffleParams):
     """Upper bound on the order-lambda RDP of the subsampled shuffle mechanism.
 
@@ -307,14 +375,8 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
     out = np.zeros(lams.size)
     if eps0 == 0.0 or not lams.size:
         return _shaped(out, lam)
-    kb = kbar(k, eps0)
-    log_gamma_s = math.log(params.gamma)
     n_j = int(lams.max()) - 1
-    j = _J[:n_j]
-    log_base = math.log(2.0) + 2.0 * log_expm1(2.0 * eps0) - math.log(kb) - 2.0 * eps0
-    ternary = j * log_gamma_s + _LOG_J[:n_j] + _LOG_GAMMA_HALF_J[:n_j] + (j / 2.0) * log_base
-    ternary[0] = math.log(4.0) + 2.0 * log_gamma_s + 2.0 * log_expm1(eps0) - math.log(kb) - eps0
-    upsilon = j * (log_gamma_s + _log_2sinh(eps0)) - (k - 1) / (8.0 * math.exp(eps0))
+    ternary, upsilon = _upper_log_terms(params, n_j)
     orders = lams.astype(np.intp)
     for at in _order_chunks(lams.size, 2 * n_j):
         o = orders[at]
@@ -531,6 +593,19 @@ def rdp_lower(lam, params: SubsampledShuffleParams):
             out[at[rows]] = terms.sums(lams[at[rows], None], cols, cut)
     out /= lams - 1.0
     return _shaped(out, lam)
+
+
+#: :func:`rdp_upper` is binomial: its S sums C(lambda, j) (x_j + y_j) with
+#: x_j, y_j >= 0 (the ternary and Upsilon terms), so it holds the pair
+#: term and Upsilon's j = 2 term, C(lambda, 2) (x_2 + A^2 e^{-(k-1)/(8 e^{eps0})}).
+RDP_UPPER_FLOOR = GrowthFloor.BINOMIAL
+
+#: :func:`rdp_lower`'s g is the cumulant generating function
+#: lambda -> ln E_{mu0}[(1 + u)^lambda] of ln(1 + u) under mu0, so it is
+#: convex, and it is (lambda - 1) times a Renyi divergence, which is
+#: nondecreasing in its order (van Erven & Harremoes, "Renyi Divergence and
+#: Kullback-Leibler Divergence", IEEE Trans. Inf. Theory 2014).
+RDP_LOWER_FLOOR = GrowthFloor.CONVEX
 
 
 def rdp_upper_curve(

@@ -28,8 +28,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .accountant import (
     DEFAULT_LAMBDA_MAX,
     AccountantConfig,
@@ -41,11 +39,14 @@ from .accountant import (
 from .baselines import baseline_total
 from .bounds import (
     MAX_ORDER,
+    RDP_LOWER_FLOOR,
+    RDP_UPPER_FLOOR,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
     rdp_lower,
     rdp_upper,
+    rdp_upper_term_lines,
 )
 from .checks import ALL_CHECKS
 from . import sgd
@@ -285,34 +286,25 @@ def cmd_compose(v) -> int:
     return 0
 
 
-def _prefix_curves(bound: Callable) -> Callable:
-    """bound(block, params) for blocks of orders from a scan that starts at
-    2, computing only the orders past the prefix already known for params."""
-    curves: dict[SubsampledShuffleParams, np.ndarray] = {}
-
-    def curve(block: range, params: SubsampledShuffleParams) -> np.ndarray:
-        known = curves.get(params, np.empty(0))
-        if block.stop - 2 > known.size:
-            known = curves[params] = np.concatenate(
-                [known, bound(range(known.size + 2, block.stop), params)]
-            )
-        return known[block.start - 2:block.stop - 2]
-
-    return curve
-
-
-def _compare_point(
-    params: SubsampledShuffleParams, cfg: AccountantConfig, upper: Callable, lower: Callable
-) -> tuple[str, str, str]:
-    ours, _, _ = minimize_over_orders(
-        lambda lam: upper(lam, params), cfg.T, cfg.delta, cfg.lambda_max
+def _compare_rows(
+    params: SubsampledShuffleParams, cfgs: Sequence[AccountantConfig]
+) -> list[tuple[str, str, str]]:
+    """The ours, baseline and lower-reference cells of points that differ in
+    T alone.  RDP composes linearly in T, so their round counts share one
+    order search per bound, and each order is computed once."""
+    Ts, delta, lambda_max = [cfg.T for cfg in cfgs], cfgs[0].delta, cfgs[0].lambda_max
+    ours = minimize_over_orders(
+        lambda lam: rdp_upper(lam, params), Ts, delta, lambda_max, RDP_UPPER_FLOOR,
+        functools.partial(rdp_upper_term_lines, params),
     )
-    base = baseline_total(params, cfg.T, cfg.delta)
-    lower_eps, _, _ = minimize_over_orders(
-        lambda lam: lower(lam, params), cfg.T, cfg.delta, cfg.lambda_max
+    bases = [baseline_total(params, T, delta) for T in Ts]
+    lower = minimize_over_orders(
+        lambda lam: rdp_lower(lam, params), Ts, delta, lambda_max, RDP_LOWER_FLOOR
     )
-    base_cell = "degenerate" if base.degenerate else _fmt(base.eps)
-    return _fmt(ours), base_cell, _fmt(lower_eps)
+    return [
+        (_fmt(o[0]), "degenerate" if base.degenerate else _fmt(base.eps), _fmt(lo[0]))
+        for o, base, lo in zip(ours, bases, lower)
+    ]
 
 
 def cmd_compare(v) -> int:
@@ -337,9 +329,10 @@ def cmd_compare(v) -> int:
         )
         for at in (dict(fixed, **{v.axis: x}) for x in values)
     ]
-    # RDP composes linearly in T, so every point of one mechanism reads one curve.
-    upper, lower = _prefix_curves(rdp_upper), _prefix_curves(rdp_lower)
-    results = [_compare_point(params, cfg, upper, lower) for params, cfg in points]
+    groups = [points] if v.axis == "T" else [[point] for point in points]
+    results = [
+        row for group in groups for row in _compare_rows(group[0][0], [cfg for _, cfg in group])
+    ]
     axis_fmt = str if kind is _to_int else _fmt
     rows = [
         f"{axis_fmt(x)},{ours},{base},{lower_ref}"

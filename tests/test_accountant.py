@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from shuffle_rdp.accountant import (
-    EARLY_EXIT_PATIENCE,
     AccountantConfig,
     Provenance,
     compose,
@@ -17,9 +16,12 @@ from shuffle_rdp.accountant import (
 )
 from shuffle_rdp.bounds import (
     MAX_ORDER,
+    RDP_LOWER_FLOOR,
+    RDP_UPPER_FLOOR,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
+    rdp_lower,
     rdp_lower_curve,
     rdp_upper,
     rdp_upper_curve,
@@ -144,17 +146,51 @@ class TestMinimizeOverOrders:
             )
             assert minimize_over_orders(fn, T, 1e-8, 512) == (max(best, 0.0), best_lam, best)
 
-    def test_asks_only_for_the_blocks_it_scans(self):
-        # The scan stops EARLY_EXIT_PATIENCE orders past the argmin, and
-        # asks for no order beyond that one.
+    def test_headline_tail_is_closed_after_the_first_block(self):
+        # The closed-form floor on the upper bound's g past order 33 already
+        # lies above the best objective among orders 2..33.
         p = SubsampledShuffleParams(n=10**6, k=1000, eps0=2.0)
         blocks = []
         _, lam, _ = minimize_over_orders(
-            lambda block: blocks.append(block) or rdp_upper(block, p), 10**5, 1e-8
+            lambda block: blocks.append(block) or rdp_upper(block, p), 10**5, 1e-8,
+            floor=RDP_UPPER_FLOOR,
         )
         assert lam == 28
-        assert blocks == [range(2, 34), range(34, 61)]
-        assert blocks[-1][-1] == lam + EARLY_EXIT_PATIENCE
+        assert blocks == [range(2, 34)]
+
+    @pytest.mark.parametrize("lambda_max", [2, 5, 33])
+    def test_ceiling_inside_the_first_block(self, lambda_max):
+        blocks = []
+        p = SubsampledShuffleParams(n=10**4, k=100, eps0=1.0)
+        minimize_over_orders(
+            lambda block: blocks.append(block) or rdp_upper(block, p), 100, 1e-8, lambda_max,
+            RDP_UPPER_FLOOR,
+        )
+        assert blocks == [range(2, lambda_max + 1)]
+
+    def test_round_counts_share_one_search(self):
+        # The T points of a sweep share one search: the same results as one
+        # search each, from fewer calls, with no order read twice.
+        p = SubsampledShuffleParams(n=10**6, k=1000, eps0=2.0)
+        Ts = [10**4, 10**5, 10**6]
+        calls = []
+        joint = minimize_over_orders(
+            lambda lam: calls.append(np.asarray(lam).tolist()) or rdp_lower(lam, p), Ts, 1e-8,
+            floor=RDP_LOWER_FLOOR,
+        )
+        single_calls = []
+        single = [
+            minimize_over_orders(
+                lambda lam: single_calls.append(lam) or rdp_lower(lam, p), T, 1e-8,
+                floor=RDP_LOWER_FLOOR,
+            )
+            for T in Ts
+        ]
+        assert joint == single
+        assert [lam for _, lam, _ in joint] == [657, 218, 73]
+        reads = [order for call in calls for order in call]
+        assert len(reads) == len(set(reads)) <= 150
+        assert len(calls) < len(single_calls)
 
     def test_no_finite_objective_has_no_argmin(self):
         blocks = []

@@ -1,13 +1,16 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shuffle_rdp import bounds, cli
-from shuffle_rdp.accountant import AccountantConfig, minimize_over_orders
-from shuffle_rdp.bounds import MAX_ORDER, SubsampledShuffleParams
+from shuffle_rdp.bounds import MAX_ORDER
 from shuffle_rdp.cli import _COMMANDS, main
 
 # ln(1/1e-6) - ln 4, the single-entry conversion at lambda = 2, eps = 0.
@@ -218,76 +221,58 @@ class TestCompare:
         rows = (tmp_path / "compare.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["2.000000000000e+00"]
 
+    FIXED = ["--eps0", "1", "--k", "100", "--n", "10000", "--delta", "1e-8", "--lambda-max", "512"]
+
+    @staticmethod
+    def _counted(log, monkeypatch):
+        # Record (bound, orders) for each call of either bound in cli.
+        for name in ("rdp_upper", "rdp_lower"):
+            bound = getattr(cli, name)
+
+            def fn(lam, params, bound=bound, name=name):
+                log.append((name, np.asarray(lam).tolist()))
+                return bound(lam, params)
+
+            monkeypatch.setattr(cli, name, fn)
+
+    def _one_value_rows(self, tmp_path, Ts):
+        rows = []
+        for T in Ts:
+            out = tmp_path / str(T)
+            assert main(["compare", "--axis", "T", "--values", str(T), *self.FIXED,
+                         "--out", str(out)]) == 0
+            rows += (out / "compare.csv").read_text().splitlines()[1:]
+        return rows
+
     def test_T_points_share_one_curve_per_bound(self, tmp_path, monkeypatch):
-        # RDP composes linearly in T, so every T point reads the blocks of
-        # orders that the deepest scan computed; the rows stay those of
-        # one-value sweeps.
+        # RDP composes linearly in T, so the T points of a sweep share one
+        # order search per bound: fewer calls than one search per point,
+        # and the rows stay those of one-value sweeps.
         Ts = (100, 1000, 10000)
-        fixed = ["--eps0", "1", "--k", "100", "--n", "10000", "--delta", "1e-8",
-                 "--lambda-max", "512"]
-        calls = {}
-
-        def counted(bound):
-            def fn(lam, params):
-                key = (bound.__name__, params, lam)
-                calls[key] = calls.get(key, 0) + 1
-                return bound(lam, params)
-            return fn
-
-        params = SubsampledShuffleParams(n=10000, k=100, eps0=1.0)
-        lower_depths = []
-        for T in Ts:
-            blocks = []
-            minimize_over_orders(
-                lambda lam: blocks.append(lam) or cli.rdp_lower(lam, params), T, 1e-8, 512
-            )
-            lower_depths.append(len(blocks))
-
-        monkeypatch.setattr(cli, "rdp_upper", counted(cli.rdp_upper))
-        monkeypatch.setattr(cli, "rdp_lower", counted(cli.rdp_lower))
-        values = ",".join(map(str, Ts))
-        assert main(["compare", "--axis", "T", "--values", values, *fixed,
+        joint, single = [], []
+        self._counted(joint, monkeypatch)
+        assert main(["compare", "--axis", "T", "--values", ",".join(map(str, Ts)), *self.FIXED,
                      "--out", str(tmp_path / "all")]) == 0
-        assert max(calls.values()) == 1
-        assert sum(key[0] == "rdp_upper" for key in calls) > 0
-        assert sum(key[0] == "rdp_lower" for key in calls) == max(lower_depths) < sum(lower_depths)
-
         rows = (tmp_path / "all" / "compare.csv").read_text().splitlines()[1:]
-        for T, row in zip(Ts, rows, strict=True):
-            out = tmp_path / str(T)
-            assert main(["compare", "--axis", "T", "--values", str(T), *fixed,
-                         "--out", str(out)]) == 0
-            assert (out / "compare.csv").read_text().splitlines()[1:] == [row]
+        monkeypatch.undo()
+        self._counted(single, monkeypatch)
+        assert rows == self._one_value_rows(tmp_path, Ts)
+        for name in ("rdp_upper", "rdp_lower"):
+            calls = sum(bound == name for bound, _ in joint)
+            assert 0 < calls <= sum(bound == name for bound, _ in single)
+        assert sum(b == "rdp_lower" for b, _ in joint) < sum(b == "rdp_lower" for b, _ in single)
 
-    def test_T_points_compute_each_order_once(self, tmp_path):
-        # --values must increase, so the deepest scan (the smallest T) comes
-        # first on the command line; here the points run in the other
-        # order, so each scan reaches past the orders the last one computed.
-        # Each bound still computes each order of the mechanism once, and
-        # the rows stay those of one-value sweeps.
-        Ts = (10000, 1000, 100)
-        fixed = ["--eps0", "1", "--k", "100", "--n", "10000", "--delta", "1e-8",
-                 "--lambda-max", "512"]
-        params = SubsampledShuffleParams(n=10000, k=100, eps0=1.0)
-        computed, calls = [], []
-
-        def counted(bound):
-            def fn(lam, params):
-                calls.append(bound.__name__)
-                computed.extend((bound.__name__, params, order) for order in lam)
-                return bound(lam, params)
-            return cli._prefix_curves(fn)
-
-        upper, lower = counted(bounds.rdp_upper), counted(bounds.rdp_lower)
-        for T in Ts:
-            cfg = AccountantConfig(T=T, delta=1e-8, lambda_max=512)
-            row = ",".join([str(T), *cli._compare_point(params, cfg, upper, lower)])
-            out = tmp_path / str(T)
-            assert main(["compare", "--axis", "T", "--values", str(T), *fixed,
-                         "--out", str(out)]) == 0
-            assert (out / "compare.csv").read_text().splitlines()[1:] == [row]
+    def test_T_points_compute_each_order_once(self, tmp_path, monkeypatch):
+        # Each bound computes each order of the mechanism once, however many
+        # T points read it.
+        Ts = (100, 1000, 10000)
+        log = []
+        self._counted(log, monkeypatch)
+        assert main(["compare", "--axis", "T", "--values", ",".join(map(str, Ts)), *self.FIXED,
+                     "--out", str(tmp_path)]) == 0
+        computed = [(name, order) for name, orders in log for order in orders]
         assert len(computed) == len(set(computed))
-        assert calls.count("rdp_upper") > 1 and calls.count("rdp_lower") > 1
+        assert len(log) > 2
 
 
 class TestSimulate:
@@ -720,3 +705,83 @@ class TestOracle:
         out = capsys.readouterr().out
         assert out.startswith("PASS convexity")
         assert "worst_slack" in out
+
+
+class TestFuzz:
+    """Each parameter of a subcommand drawn from valid, boundary and junk
+    values, or left out: the CLI exits 0 or 2, never with a traceback, and
+    writes no file when it exits 2.  Sizes stay small so that a draw runs
+    quickly: orders up to MAX_ORDER only through the order search or a
+    short --lambdas list, and short simulations."""
+
+    JUNK = ["abc", "nan", "inf", "-inf", "-1", "0", "2.5", "1e400", "", "1,,2"]
+    # (valid, boundary) values per parameter.
+    POOLS = {
+        "--eps0": (["0.5", "2"], ["0", "1e-300", "5e-17", repr(bounds.EPS0_MAX), "709.79"]),
+        "--k": (["10", "50"], ["1", "2", "1000001"]),
+        "--n": (["1000", "10000"], ["1", "50", "1000000000000"]),
+        "--T": (["100", "100000"], ["1", "1000000000000"]),
+        "--delta": (["1e-8", "1e-5"], ["5e-324", "1e-310", "0.999999", "0.5"]),
+        "--lambda-max": (["16", "64"], ["2", "33", "34", str(MAX_ORDER), str(MAX_ORDER + 1)]),
+        "--lambda-min": (["2", "5"], ["1", str(MAX_ORDER)]),
+        "--lambdas": (["2,8,32"], [f"2,{MAX_ORDER}", "8,2", "2.5", str(MAX_ORDER + 1)]),
+        "--axis": (["T", "n", "eps0"], ["k"]),
+        "--values": (["10,100", "1000"], ["1,1000000000000", "100,10", "1"]),
+        "--log-range": ([["1", "10", "3"]], [["2", "2", "1"], ["10", "1", "3"], ["1", "10", "1001"]]),
+        "--kind": (["upper", "lower", "exact"], ["other"]),
+        "--loss": (["least_squares", "logistic"], ["hinge"]),
+        "--d": (["3"], ["1"]),
+        "--radius": (["1"], ["1e300", "1e-300"]),
+        "--problem-seed": (["7"], ["4294967296"]),
+        "--clip-radius": (["1"], ["1e-300", "1e300"]),
+        "--seed": (["0"], ["18446744073709551616"]),
+        "--schedule": (["paper", "constant"], ["other"]),
+        "--eta": (["0.1"], ["1e300", "1e-300"]),
+        "--record-every": (["5"], ["1"]),
+    }
+    # simulate runs T rounds over an n x d problem: no large values there.
+    SIMULATE = {"--T": (["5", "20"], ["1"]), "--n": (["20", "50"], ["1"]), "--k": (["5"], ["1", "20"])}
+    SIMULATE_JUNK = ["abc", "nan", "-1", "0", "2.5", ""]
+
+    @staticmethod
+    @st.composite
+    def invocations(draw, curve):
+        command = draw(st.sampled_from(["bound", "convert", "compose", "compare", "simulate"]))
+        argv = [command]
+        for param in _COMMANDS[command][2]:
+            if param.name in ("--config", "--out"):
+                continue
+            if param.name == "--curve":
+                valid, boundary, junk = [str(curve)], [str(curve) + ".missing"], []
+            elif command == "simulate":
+                valid, boundary = TestFuzz.SIMULATE.get(param.name, TestFuzz.POOLS[param.name])
+                junk = TestFuzz.SIMULATE_JUNK
+            else:
+                (valid, boundary), junk = TestFuzz.POOLS[param.name], TestFuzz.JUNK
+            kind = draw(st.sampled_from(["valid"] * 6 + ["boundary"] * 2 + ["junk", "absent"]))
+            pool = {"valid": valid, "boundary": boundary, "junk": junk}.get(kind) or [None]
+            value = draw(st.sampled_from(pool))
+            if value is None:
+                continue
+            if param.metavar and not isinstance(value, list):
+                value = [value] * len(param.metavar)
+            argv += [param.name, *([value] if isinstance(value, str) else value)]
+        return argv
+
+    def test_exit_code_is_zero_or_two(self, tmp_path_factory):
+        curve = tmp_path_factory.mktemp("curve") / "curve.csv"
+        curve.write_text("lambda,eps\n2,0.001\n3,0.002\n8,0.01\n")
+
+        @settings(max_examples=250, deadline=None, derandomize=True)
+        @given(argv=self.invocations(curve))
+        def check(argv):
+            out = tmp_path_factory.mktemp("out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([*argv, "--out", str(out)])
+            assert rc in (0, 2), argv
+            assert "Traceback" not in err.getvalue()
+            if rc == 2:
+                assert not any(out.iterdir()), argv
+
+        check()

@@ -117,6 +117,22 @@ class TestExact2rr:
         assert math.isfinite(val)
         assert val == pytest.approx(rdp_lower(lam, p), rel=1e-9)
 
+    @pytest.mark.parametrize("lam, n, k, eps0", [(2, 10**6, 1000, 2.0), (2, 1, 1, 3.3e-18)])
+    def test_tiny_ratio_against_60_digit_sum(self, lam, n, k, eps0):
+        # sd(x) is tiny at both points, where a sum of mu0 ((1+x)^lam - 1)
+        # cancels: at the first it was 1.2e-9 off, at the second 0.0.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        e0, gamma = mpmath.mpf(eps0), mpmath.mpf(k) / n
+        p = 1 / (mpmath.e**e0 + 1)
+        s = mpmath.mpf(0)
+        for m in range(k + 1):
+            mu0 = mpmath.binomial(k, m) * p**m * (1 - p) ** (k - m)
+            x = gamma * (mpmath.mpf(m) / k * mpmath.expm1(e0) + mpmath.mpf(k - m) / k * mpmath.expm1(-e0))
+            s += mu0 * ((1 + x) ** lam - 1 - lam * x)
+        want = float(mpmath.log1p(s) / (lam - 1))
+        assert exact_rdp_2rr_subshuffle(lam, params(n, k, eps0)) == pytest.approx(want, rel=1e-13)
+
     def test_order_monotone(self):
         p = params(500, 50, 1.0)
         vals = [exact_rdp_2rr_subshuffle(lam, p) for lam in range(2, 17)]

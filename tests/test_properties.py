@@ -1,14 +1,26 @@
 """Property tests of the RDP bounds over random mechanisms and order lists."""
 
+import bisect
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from shuffle_rdp.accountant import minimize_over_orders
-from shuffle_rdp.bounds import EPS0_MAX, SubsampledShuffleParams, rdp_lower, rdp_upper
+from shuffle_rdp import accountant
+from shuffle_rdp.accountant import dp_penalty, minimize_over_orders
+from shuffle_rdp.bounds import (
+    EPS0_MAX,
+    RDP_LOWER_FLOOR,
+    RDP_UPPER_FLOOR,
+    GrowthFloor,
+    SubsampledShuffleParams,
+    rdp_lower,
+    rdp_upper,
+    rdp_upper_term_lines,
+)
 from shuffle_rdp.oracle import exact_rdp_2rr_subshuffle
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -47,10 +59,8 @@ def test_lower_is_nonnegative_and_below_upper(p, lams):
     assert np.all(0.0 <= lower) and np.all(lower <= upper)
 
 
-# The oracle sums mu0 (e^{lam ln(1+x)} - 1), which cancels to about
-# 1e-16 / (lam sd(x)) relative, so the comparison keeps sd(x) >= 1e-4.
 @SETTINGS
-@given(p=mechanisms(k_max=1000, eps0_min=0.05, eps0_max=20.0, n_over_k=(1, 2, 10)), lams=orders)
+@given(p=mechanisms(k_max=1000), lams=orders)
 def test_lower_equals_exact_2rr_oracle(p, lams):
     got = rdp_lower(lams, p)
     want = [exact_rdp_2rr_subshuffle(lam, p) for lam in lams]
@@ -112,3 +122,96 @@ def test_both_bounds_are_zero_at_eps0_zero(p, lams):
     for bound in (rdp_upper, rdp_lower):
         assert bound(lams, p).tolist() == [0.0] * len(lams)
         assert bound(lams[0], p) == 0.0
+
+
+def full_scan(curve, T, delta):
+    """(eps, argmin, unclamped eps) of the objective at every order of curve
+    (orders 2, 3, ...): what minimize_over_orders must return."""
+    objective = [float(T) * eps + dp_penalty(lam, delta) for lam, eps in enumerate(curve, 2)]
+    best = float(np.fmin.reduce(objective))
+    if not best < math.inf:
+        return math.inf, None, math.inf
+    return max(best, 0.0), objective.index(best) + 2, best
+
+
+BOUNDS = {
+    "upper": (rdp_upper, RDP_UPPER_FLOOR),
+    "lower": (rdp_lower, RDP_LOWER_FLOOR),
+    "inf": (lambda lam, p: np.full(len(lam), math.inf), GrowthFloor.MONOTONE),
+}
+SGD_BOX = SubsampledShuffleParams(n=1000, k=100, eps0=2.0)  # the sgd workload: eps near 14 at T = 25
+
+
+@SETTINGS
+@given(
+    p=mechanisms(k_max=1000),
+    Ts=st.lists(st.integers(1, 10**7) | st.sampled_from([1, 10**3, 10**5]), min_size=1, max_size=3, unique=True),
+    delta=st.sampled_from([1e-12, 1e-8, 1e-5, 0.5]),
+    lambda_max=st.sampled_from([2, 33, 34, 100, 512]),
+)
+@example(SubsampledShuffleParams(n=2, k=2, eps0=8.0), [10, 1000], 1e-8, 64)  # dips at orders <= 32
+@example(SubsampledShuffleParams(n=10**4, k=1000, eps0=0.05), [1], 1e-8, 2048)  # argmin at the ceiling
+@example(SubsampledShuffleParams(n=10**4, k=100, eps0=2.0), [1000], 1e-8, 2048)  # Upsilon dominates
+@example(SubsampledShuffleParams(n=10**4, k=100, eps0=1.0), [10**5], 1e-8, 4096)
+@example(SubsampledShuffleParams(n=5, k=1, eps0=2.0), [10, 10**4], 1e-8, 512)
+@example(SubsampledShuffleParams(n=300, k=300, eps0=3.0), [10**4], 1e-8, 512)
+@example(SubsampledShuffleParams(n=10**4, k=100, eps0=0.0), [10**4], 1e-8, 512)
+@example(SGD_BOX, [25, 100], 1e-8, 2048)  # eps near 14: the rest of g grows with high-j terms
+def test_search_equals_full_scan(p, Ts, delta, lambda_max):
+    # For each bound, alone and for several round counts at once.
+    for name, (bound, floor) in BOUNDS.items():
+        if name == "upper" and p.k < 2:
+            continue
+        curve = bound(range(2, lambda_max + 1), p).tolist()
+        want = [full_scan(curve, T, delta) for T in Ts]
+        eps_fn = lambda lam: bound(lam, p)
+        term_lines = functools.partial(rdp_upper_term_lines, p) if name == "upper" else None
+        assert minimize_over_orders(eps_fn, Ts, delta, lambda_max, floor, term_lines) == want
+        assert minimize_over_orders(eps_fn, Ts[0], delta, lambda_max, floor, term_lines) == want[0]
+        assert minimize_over_orders(eps_fn, Ts[0], delta, lambda_max) == want[0]
+
+
+@SETTINGS
+@given(
+    p=mechanisms(k_min=2, k_max=1000),
+    extra=st.lists(st.integers(34, 512), max_size=8, unique=True),
+    T=st.integers(1, 10**7),
+    delta=st.sampled_from([1e-12, 1e-8, 0.5]),
+)
+def test_floors_lie_below_computed_g(p, extra, T, delta):
+    # With orders 2..33 and ``extra`` read, every line that a gap's parts
+    # put below g lies below the computed g at each order it covers, and
+    # its floor on the objective below the objective computed there.
+    L = 512
+    neg_log_delta = -math.log(delta)
+    term_lines = functools.partial(rdp_upper_term_lines, p) if p.eps0 > 0 else None
+    for bound, parts in (
+        (rdp_upper, accountant._binomial_parts),
+        (rdp_lower, accountant._convex_parts),
+        (rdp_upper, accountant._monotone_parts),
+        (rdp_lower, accountant._monotone_parts),
+    ):
+        eps = bound(range(2, L + 1), p)
+        g_all = eps * np.arange(1.0, L)
+        objective = float(T) * eps + np.array([dp_penalty(lam, delta) for lam in range(2, L + 1)])
+        lams = sorted(set(range(2, 34)) | set(extra))
+        g = {lam: float(g_all[lam - 2]) for lam in lams}
+        ends = [*lams, L + 1]
+        for a, b in zip(ends, ends[1:]):
+            if b - a < 2:
+                continue
+            i = bisect.bisect_left(lams, a)
+            for part, rest in parts(lams, g, i, a + 1, b - 1, term_lines):
+                for lo, hi, lines in [part, *(rest() if rest else [])]:
+                    at = np.arange(lo, hi + 1)
+                    for line in lines:
+                        for q, slope in line() if callable(line) else [line]:
+                            assert np.all(q + slope * at <= g_all[at - 2])
+                            floor = accountant._line_floor(lo, hi, q, slope, float(T), neg_log_delta)
+                            assert floor <= objective[at - 2].min()
+    if term_lines is not None:  # the upper bound's term lines, past the log-space switch too
+        g_all = rdp_upper(range(2, L + 1), p) * np.arange(1.0, L)
+        for lo, hi in ((2, 2), (2, 40), (34, 512), (300, 400)):
+            at = np.arange(lo, hi + 1)
+            for q, slope in term_lines(lo, hi):
+                assert np.all(q + slope * at <= g_all[at - 2])

@@ -22,11 +22,15 @@ Rows, each the median over every repeat, in milliseconds:
   of BLOCK_CALLS calls, and over orders 2..2048 in one call, whose chunks
   hold a few tall columns each.
 
-Three rows are counts, not times: the blocks, the orders and the upper
-bound's cells (per chunk, its columns times both halves of its (term x
-order) grid) that ``total_privacy`` evaluates per query, averaged over
-QUERY_POINTS points of the benchmark's query box
-(``perfbench/workloads.py``, seed 1).
+Rows in counts, not times:
+
+* the calls, the orders and the upper bound's cells (per chunk, its
+  columns times both halves of its (term x order) grid) that
+  ``total_privacy``'s order search evaluates per query, averaged over
+  QUERY_POINTS points of the benchmark's query box
+  (``perfbench/workloads.py``, seed 1);
+* the calls and the orders that each bound computes in the two
+  ``compare`` runs above.
 
 A row whose call fails in one tree (a ``compare`` that a parent's k ceiling
 refuses) reads null there.
@@ -111,21 +115,21 @@ def _cases(srdp, cli, tmp: Path) -> dict:
 
 
 def _query_counts(srdp) -> dict:
-    """Blocks, orders and upper-bound cells that total_privacy evaluates per query."""
+    """Calls, orders and upper-bound cells that total_privacy evaluates per query."""
     from shuffle_rdp import accountant, bounds
 
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Query
 
-    blocks = orders = cells = 0
+    calls = orders = cells = 0
     rdp_upper = accountant.rdp_upper
     # Older trees name the chunk helper _row_chunks.
     chunks = getattr(bounds, "_order_chunks", None) or bounds._row_chunks
 
     def counted(lam, params):
-        nonlocal blocks, orders, cells
-        lams = np.atleast_1d(lam)
-        blocks += 1
+        nonlocal calls, orders, cells
+        lams = np.atleast_1d(np.asarray(lam))
+        calls += 1
         orders += lams.size
         for at in chunks(lams.size, 2 * (int(lams.max()) - 1)):
             cells += 2 * lams[at].size * (int(lams[at].max()) - 1)
@@ -141,10 +145,38 @@ def _query_counts(srdp) -> dict:
     finally:
         accountant.rdp_upper = rdp_upper
     return {
-        "total_privacy, blocks per query, query box": blocks / QUERY_POINTS,
+        "total_privacy, calls per query, query box": calls / QUERY_POINTS,
         "total_privacy, orders per query, query box": orders / QUERY_POINTS,
         "total_privacy, rdp_upper cells per query, query box": cells / QUERY_POINTS,
     }
+
+
+def _compare_counts(cli, tmp: Path) -> dict:
+    """Calls and orders of each bound in the sweep-shaped compare and the
+    compare at k = 1e6 (None where the tree refuses the run)."""
+    counts = {}
+    for label, argv in (("sweep-shaped", SWEEP_ARGV), ("k=1e6, n=1e9", CEILING_ARGV)):
+        seen = {name: [0, 0] for name in ("rdp_upper", "rdp_lower")}
+        originals = {name: getattr(cli, name) for name in seen}
+
+        def counted(name):
+            def fn(lam, params):
+                seen[name][0] += 1
+                seen[name][1] += np.atleast_1d(np.asarray(lam)).size
+                return originals[name](lam, params)
+            return fn
+
+        for name in seen:
+            setattr(cli, name, counted(name))
+        try:
+            ok = cli.main([*argv, "--out", str(tmp / "counts")]) == 0
+        finally:
+            for name, fn in originals.items():
+                setattr(cli, name, fn)
+        for name, (n_calls, n_orders) in seen.items():
+            counts[f"compare, {label}, {name} calls"] = n_calls if ok else None
+            counts[f"compare, {label}, {name} orders"] = n_orders if ok else None
+    return counts
 
 
 def measure(src: str) -> dict:
@@ -168,7 +200,8 @@ def measure(src: str) -> dict:
                 fn()
                 times.append((time.perf_counter() - t0) * 1e3 / per)
             out[name] = times
-    return {"ms": out, "count": _query_counts(srdp)}
+        counts = _compare_counts(cli, Path(tmp))
+    return {"ms": out, "count": {**_query_counts(srdp), **counts}}
 
 
 def _child(src: Path) -> dict:
@@ -213,7 +246,10 @@ def main() -> int:
         row["repeats"] = len(samples["change"][name])
         rows.append(row)
     for name in counts["change"]:
-        rows.append({"case": name, "unit": "count", **{side: round(counts[side][name], 2) for side in sides}})
+        values = {side: counts[side].get(name) for side in sides}
+        rows.append({"case": name, "unit": "count", **{
+            side: None if v is None else round(v, 2) for side, v in values.items()
+        }})
     payload = {
         "pr": args.pr,
         "machine": {

@@ -10,9 +10,10 @@ minimizes, over the tabulated integer orders, the standard penalty
 what a scan of every order would return, by proof.  Every bound here has
 g(lambda) = (lambda - 1) eps(lambda) nondecreasing in lambda, so a read
 order bounds g from below at every later order; the bounds' own shapes
-(``bounds.GrowthFloor``) give tighter floors.  A floor on g over a
-stretch of unread orders gives a floor on the objective there, and a
-stretch whose floor lies above the best objective read so far cannot
+give tighter floors (:func:`convex_floor` for the lower bound,
+:func:`binomial_floor` for the upper).  A floor is a line below g over a
+stretch of unread orders, which gives a floor on the objective there, and
+a stretch whose floor lies above the best objective read so far cannot
 hold the minimum.
 """
 
@@ -28,35 +29,26 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .bounds import (
+    G_TOL,
     MAX_ORDER,
-    RDP_UPPER_FLOOR,
     CurveKind,
-    GrowthFloor,
     RdpCurve,
     SubsampledShuffleParams,
     rdp_upper,
     rdp_upper_term_lines,
 )
 
-# The search reads the orders 2.._FIRST_STOP - 1 first; then, per gap of
-# unread orders, what _next_round picks: with a convex g, the stretch that
-# may hold a minimum, whole if it has _SPAN_POINTS orders or fewer, else at
-# _SPAN_POINTS evenly spaced orders; otherwise a block from the first order
-# that may hold one, of _BLOCK orders or a quarter of that order if more.
+# The search reads the orders 2.._FIRST_STOP - 1 first, then what
+# _next_round picks from the gaps of unread orders, which it checks in
+# pieces [c, _PIECE_RATIO c - 1].
 _FIRST_STOP = 34
 _SPAN_POINTS = 4
 _BLOCK = 32
+_PIECE_RATIO = 4
 
-# Every floor on g is lowered by _G_TOL relative to the read g it is drawn
-# from, which covers the rounding of a computed g (about 1e-13 relative);
-# a floor on the objective is lowered by _SLACK relative to its terms.
-_G_TOL = 1e-9
+# Every floor on g is lowered by G_TOL (bounds) relative to the read g it
+# is drawn from; a floor on the objective by _SLACK relative to its terms.
 _SLACK = 1e-12
-
-# A binomial floor cuts a gap into parts _PART_RATIO times longer each, and
-# the rest of the gap past a part into pieces _REST_RATIO times longer each.
-_PART_RATIO = 1.35
-_REST_RATIO = 4
 
 DEFAULT_LAMBDA_MAX = 2048
 
@@ -148,23 +140,13 @@ _PENALTY_B = np.fromiter((0.0 if lam < 2 else math.log(lam) for lam in range(MAX
 _ORDER_MINUS_ONE = np.arange(-1.0, MAX_ORDER)
 
 
-def _scan(
-    pairs: Iterable[tuple[int, float]], best: float = math.inf, best_lam: Optional[int] = None
-) -> tuple[float, Optional[int]]:
-    """(min, argmin) of the (lambda, objective) pairs and the incumbent
-    (best, best_lam); the first of equal minima wins."""
-    for lam, obj in pairs:
-        if obj < best:
-            best, best_lam = obj, lam
-    return best, best_lam
-
-
 def rdp_to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
     """Convert a tabulated RDP curve to an (eps, delta)-DP guarantee: the
     minimum over every entry, clamped at zero, with the raw minimum kept."""
     if not curve.entries:
         raise ValueError("curve must contain at least one entry")
-    raw, lam = _scan((lam, eps + dp_penalty(lam, delta)) for lam, eps in curve.entries)
+    # Entries ascend in order: the first of equal minima wins.
+    raw, lam = min((eps + dp_penalty(lam, delta), lam) for lam, eps in curve.entries)
     return DpGuarantee(
         eps=max(raw, 0.0),
         delta=delta,
@@ -197,104 +179,85 @@ def _line_floor(lo: int, hi: int, q: float, slope: float, T: float, neg_log_delt
     return value - _SLACK * (abs(ts) + (abs(tq) + neg_log_delta + log_at) / (at - 1.0) - log_ratio)
 
 
-def _opens(lo: int, hi: int, q: float, slope: float, incumbents, neg_log_delta: float) -> bool:
-    """Whether the floor on the objective over lo..hi that the line
-    q + slope lambda below g gives is at or below the best objective read
-    for some round count, (T, best) in ``incumbents``."""
-    for T, best in incumbents:
-        if _line_floor(lo, hi, q, slope, T, neg_log_delta) <= best:
-            return True
-    return False
+def _settles(lo: int, hi: int, lines, incumbents, neg_log_delta: float) -> bool:
+    """Whether one of ``lines``, (q, slope) pairs with q + slope lambda below
+    g over the orders lo..hi, puts the floor on the objective there above
+    the best objective read for every round count, (T, best) in
+    ``incumbents``.  ``lines`` is consumed only up to the first that does."""
+    return any(
+        all(_line_floor(lo, hi, q, slope, T, neg_log_delta) > best for T, best in incumbents)
+        for q, slope in lines
+    )
 
 
-def _closes(piece, incumbents, neg_log_delta: float) -> bool:
-    """Whether one of the piece's lines below g, (q, slope) pairs or
-    functions that give an iterable of them, settles the orders lo..hi of
-    piece = (lo, hi, lines)."""
-    lo, hi, lines = piece
-    if lo > hi:
-        return True
-    for line in lines:
-        for q, slope in line() if callable(line) else [line]:
-            if not _opens(lo, hi, q, slope, incumbents, neg_log_delta):
-                return True
-    return False
+def _pieces(start: int, stop: int):
+    """The orders start..stop, cut into pieces [c, _PIECE_RATIO c - 1]."""
+    while start <= stop:
+        end = min(_PIECE_RATIO * start - 1, stop)
+        yield start, end
+        start = end + 1
 
 
-def _monotone_parts(lams, g, i, start, stop, term_lines):
-    """g >= g(a) over the whole gap, a = lams[i] its left neighbour."""
-    return [((start, stop, [(g[lams[i]] * (1.0 - _G_TOL), 0.0)]), None)]
+def _monotone_floor(lams, g, i, lo, hi):
+    """g(lambda) >= g(a) past a = lams[i], as g is nondecreasing."""
+    yield g[lams[i]] * (1.0 - G_TOL), 0.0
 
 
-def _convex_parts(lams, g, i, start, stop, term_lines):
-    """For a convex g, the secant through the gap's left neighbour a and the
-    read order a0 before it, extended past a, lies below g, as does the
-    secant through the right neighbour b and the read order b1 after it,
-    extended before b.  The gap splits where they cross, and each part
-    takes the higher one; without b1 the first covers the whole gap.  Each
-    line is lowered by _G_TOL (1 + t) times the larger g it is drawn
+def convex_floor(lams, g, i, lo, hi):
+    """Lines below a convex g over the gap right of a = lams[i], as
+    :func:`bounds.rdp_lower`'s g is: it is the cumulant generating function
+    lambda -> ln E_{mu0}[(1 + u)^lambda] of ln(1 + u) under mu0, so convex,
+    and it is (lambda - 1) times a Renyi divergence, which is nondecreasing
+    in its order (van Erven & Harremoes, "Renyi Divergence and
+    Kullback-Leibler Divergence", IEEE Trans. Inf. Theory 2014).
+
+    The secant through a and the read order a0 before it, extended past a,
+    lies below g over the whole gap, as does the secant through the gap's
+    right neighbour b and the read order b1 after it, extended before b.
+    Each line is lowered by G_TOL (1 + t) times the larger g it is drawn
     through, t being the distance from its nearer point over the distance
     between its points: that covers the rounding of both points' g and of
-    g where the line is applied."""
+    g where the line is applied.
+    """
     a0, a = lams[i - 1], lams[i]
     ga = g[a]
-    slope = (max(ga - g[a0], 0.0) - _G_TOL * ga) / (a - a0)
-    q = ga * (1.0 - _G_TOL) - slope * a
+    slope = (max(ga - g[a0], 0.0) - G_TOL * ga) / (a - a0)
+    yield ga * (1.0 - G_TOL) - slope * a, slope
     if i + 2 < len(lams):
         b, b1 = lams[i + 1], lams[i + 2]
         gb, gb1 = g[b], g[b1]
-        slope_b = (gb1 - gb + _G_TOL * gb1) / (b1 - b)
-        if slope < slope_b < math.inf:
-            q_b = gb - _G_TOL * gb1 - slope_b * b
-            split = min(max(math.floor((q_b - q) / (slope_b - slope)), start - 1), stop)
-            parts = [(start, split, [(q, slope)]), (split + 1, stop, [(q_b, slope_b)])]
-            return [(part, None) for part in parts if part[0] <= part[1]]
-    return [((start, stop, [(q, slope)]), None)]
+        slope_b = (gb1 - gb + G_TOL * gb1) / (b1 - b)
+        if slope_b < math.inf:
+            yield gb - G_TOL * gb1 - slope_b * b, slope_b
 
 
-def _binomial_parts(lams, g, i, start, stop, term_lines):
-    """The gap's parts, each with the rest of the gap past it, cut into
-    pieces _REST_RATIO times longer each: once every piece of the rest is
-    settled, the gap's later parts are too.  The first part is empty, so
-    its rest is the whole gap; the others grow _PART_RATIO times longer
-    each.  a = lams[i] is the gap's left neighbour.
+def binomial_floor(params: SubsampledShuffleParams, lams, g, i, lo, hi):
+    """Lines below :func:`bounds.rdp_upper`'s g over the orders lo..hi of
+    the gap right of a = lams[i].
 
-    For lambda >= a, a binomial g is at least Q(lambda) = ln(1 + x),
-    x = K lambda (lambda - 1), K = S(a) / (a (a - 1)), S(a) = e^{g(a)} - 1
-    (see GrowthFloor).  On the orders c..h, ln(1 + x) lies above its chord
-    in x from x(c) to x(h), and x above its tangent in lambda at c, which
-    gives a line.  Where x(c) > 1, ``term_lines(c, h)`` (if given) offers
-    more lines, which grow with g's largest terms.
+    That g is ln(1 + S), and S sums C(lambda, j) (x_j + y_j) over j >= 2
+    with x_j, y_j >= 0 (the ternary and Upsilon terms).  For lambda > a and
+    2 <= j <= a, C(lambda, j) / C(a, j) is at least C(lambda, 2) / C(a, 2),
+    and S(a) has no terms past j = a, so S(lambda) >= S(a) C(lambda, 2) /
+    C(a, 2), which at a = 2 is C(lambda, 2) (x_2 + y_2) and only rises
+    with a.  So g is at least ln(1 + x), x = K lambda (lambda - 1),
+    K = S(a) / (a (a - 1)), S(a) = e^{g(a)} - 1.  On lo..hi, ln(1 + x) lies
+    above its chord in x from x(lo) to x(hi), and x above its tangent in
+    lambda at lo, which gives the first line.  Where x(lo) > 1, g grows
+    with S's high-j terms, and :func:`bounds.rdp_upper_term_lines` gives
+    two more, computed only if the first does not settle the orders.
     """
     a = lams[i]
-    ga = g[a] * (1.0 - _G_TOL)
+    ga = g[a] * (1.0 - G_TOL)
     log_k = ga + math.log(-math.expm1(-ga) / (a * (a - 1.0))) if ga > 0 else -math.inf
-
-    def lines(c, h):
-        cc, hh = c * (c - 1.0), h * (h - 1.0)
-        x_c = math.log(cc) + log_k
-        q_c = _log1p_exp(x_c)
-        rise = max(_log1p_exp(math.log(hh) + log_k) - q_c, 0.0)
-        slope = rise / (hh - cc) * (2.0 * c - 1.0) if h > c else 0.0
-        out = [(q_c - slope * c, slope)]
-        if term_lines is not None and x_c > 0.0:
-            out.append(lambda: term_lines(c, h))
-        return out
-
-    def rest(c):
-        pieces = []
-        while c <= stop:
-            h = min(_REST_RATIO * c - 1, stop)
-            pieces.append((c, h, lines(c, h)))
-            c = h + 1
-        return pieces
-
-    yield (start, start - 1, []), lambda: rest(start)  # the whole gap first
-    c = start
-    while c <= stop:
-        h = min(max(math.floor((c - 1) * _PART_RATIO), c), stop)
-        yield (c, h, lines(c, h)), (lambda h=h: rest(h + 1)) if h < stop else None
-        c = h + 1
+    x_lo, x_hi = lo * (lo - 1.0), hi * (hi - 1.0)
+    log_x = math.log(x_lo) + log_k
+    q = _log1p_exp(log_x)
+    rise = max(_log1p_exp(math.log(x_hi) + log_k) - q, 0.0)
+    slope = rise / (x_hi - x_lo) * (2.0 * lo - 1.0) if hi > lo else 0.0
+    yield q - slope * lo, slope
+    if log_x > 0.0:
+        yield from rdp_upper_term_lines(params, lo, hi)
 
 
 def _log1p_exp(x: float) -> float:
@@ -302,50 +265,41 @@ def _log1p_exp(x: float) -> float:
     return x if x > 36.0 else math.log1p(math.exp(x))  # x <= ln(1 + e^x)
 
 
-def _next_round(gaps, lams, g, incumbents, neg_log_delta: float, floor: GrowthFloor, term_lines, falling):
+def _next_round(gaps, lams, g, incumbents, neg_log_delta: float, floor):
     """(orders to read, gaps to search next) after a round.
 
     ``gaps`` are the stretches of unread orders (start, stop) not yet
     settled, ascending; ``lams`` the orders read, ascending, and ``g``
     their (lambda - 1) eps by order; ``incumbents`` pairs each round count
-    with the best objective read for it.  ``falling``: the last order read
-    holds the best objective for every round count, so the order after it
-    is read next with no floor worked out.
+    with the best objective read for it.
 
-    Each gap splits into parts with lines below g over each (see the
-    *_parts functions), so floors on the objective over each part.  A part
-    where some floor lies above the best for every round count is settled:
-    floors only rise and the best only falls.  The open parts are read:
+    Each gap is checked in pieces (_pieces) against the lines ``floor``
+    puts below g there.  A piece that one line settles (_settles) stays
+    settled: floors only rise and the best only falls.  The open pieces
+    are read:
 
-    * With a convex g, floors come from both sides of a gap, so the stretch
-      from the first to the last open part is read whole if it has
-      _SPAN_POINTS orders or fewer, else at _SPAN_POINTS evenly spaced
-      orders, and the unread orders between those form the next gaps.
-    * Otherwise floors come from the left neighbour alone, and an order read
-      tightens them only past it.  So the gap is read from its first open
-      order lo on, max(_BLOCK, lo // 4) orders at a time, and the rest of
-      it is the next gap.  A binomial part also bounds the rest of the
-      gap: once that is settled, so are the gap's later parts.
+    * With :func:`convex_floor`, lines come from both sides of a gap, so
+      every piece is checked, and the stretch from the first open piece to
+      the last is read whole if it has _SPAN_POINTS orders or fewer, else
+      at _SPAN_POINTS evenly spaced orders; the unread orders between
+      those form the next gaps.
+    * Otherwise lines come from the left neighbour alone, and an order read
+      tightens them only past it.  So the gap is read from the first open
+      piece's start lo, max(_BLOCK, lo // 4) orders at a time, and the rest
+      of it is the next gap.
     """
-    convex = floor is GrowthFloor.CONVEX
-    parts = {
-        GrowthFloor.MONOTONE: _monotone_parts,
-        GrowthFloor.CONVEX: _convex_parts,
-        GrowthFloor.BINOMIAL: _binomial_parts,
-    }[floor]
+    convex = floor is convex_floor
     reads, after = [], []
     for start, stop in gaps:
         i = bisect.bisect_left(lams, start) - 1
         if not g[lams[i]] < math.inf:  # after an infinite g every g is infinite
             continue
-        opened = [(start, start)] if falling and not convex and start == lams[-1] + 1 else []
-        for part, rest in [] if opened else parts(lams, g, i, start, stop, term_lines):
-            if not _closes(part, incumbents, neg_log_delta):
-                opened.append(part[:2])
+        opened = []
+        for lo, hi in _pieces(start, stop):
+            if not _settles(lo, hi, floor(lams, g, i, lo, hi), incumbents, neg_log_delta):
+                opened.append((lo, hi))
                 if not convex:
                     break
-            elif rest is not None and all(_closes(piece, incumbents, neg_log_delta) for piece in rest()):
-                break
         if not opened:
             continue
         lo, hi = opened[0][0], opened[-1][1]
@@ -369,8 +323,7 @@ def minimize_over_orders(
     T,
     delta: float,
     lambda_max: int = DEFAULT_LAMBDA_MAX,
-    floor: GrowthFloor = GrowthFloor.MONOTONE,
-    term_lines: Optional[Callable[[int, int], Iterable[tuple[float, float]]]] = None,
+    floor: Optional[Callable[..., Iterable[tuple[float, float]]]] = None,
 ):
     """(clamped eps, argmin lambda, unclamped eps) of the minimum over lambda
     in {2..lambda_max} of T eps_fn(lambda) + dp_penalty(lambda, delta).  With
@@ -387,28 +340,28 @@ def minimize_over_orders(
     order is settled: its floor on the objective lies above the best
     objective read for every round count, which only falls.
 
-    The floors on g at an unread order lambda, from the read orders:
+    ``floor(lams, g, i, lo, hi)`` yields lines (q, slope), q + slope lambda,
+    below g over the orders lo..hi of the gap right of the read order
+    a = lams[i], given the read orders ``lams`` (ascending) and their g by
+    order.  With no floor the one line is g(a), as g is nondecreasing; the
+    bounds' floors are :func:`convex_floor` (for :func:`bounds.rdp_lower`)
+    and :func:`binomial_floor` (for :func:`rdp_upper`, with its params
+    bound by ``functools.partial``).  With :func:`convex_floor` the search
+    reads each gap from both sides, as its lines come from both.
 
-    * g(a) for a read order a < lambda, as g is nondecreasing;
-    * for a convex g (``GrowthFloor.CONVEX``), the secant through two read
-      orders on the same side of lambda, extended to it;
-    * for a binomial g (``GrowthFloor.BINOMIAL``), ln(1 + S(a) C(lambda, 2) /
-      C(a, 2)) with S(a) = e^{g(a)} - 1, for a read order a < lambda;
-    * ``term_lines(lo, hi)``, if given, lines below g over the orders
-      lo..hi (for :func:`rdp_upper`, :func:`bounds.rdp_upper_term_lines`).
-
-    A floor on g lies below the objective's eps term T g / (lambda - 1),
+    A line below g lies below the objective's eps term T g / (lambda - 1),
     and its least objective over a stretch of orders is found in closed
     form (_line_floor).  Computed g carry rounding errors of about 1e-13
     relative (the bounds' tests pin them to 1e-11 against 60-digit sums), so
-    every floor on g is lowered by _G_TOL = 1e-9 times the g it is drawn
-    from, times 1 + t for a secant extended t times the distance between
-    its points, and every floor on the objective by _SLACK = 1e-12 times
-    its terms.
+    every line is lowered by G_TOL = 1e-9 times the g it is drawn from,
+    times 1 + t for a secant extended t times the distance between its
+    points, and every floor on the objective by _SLACK = 1e-12 times its
+    terms.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     neg_log_delta = -math.log(delta)
+    floor = floor or _monotone_floor
     Ts = np.atleast_1d(np.asarray(T, dtype=float))
     T_list, best = Ts.tolist(), np.full(Ts.size, math.inf)
     reads = range(2, min(_FIRST_STOP, lambda_max + 1))
@@ -432,12 +385,9 @@ def minimize_over_orders(
             orders = orders.tolist()
             for lam, value in zip(orders, values):
                 g[lam] = value
-        ascending = not lams or orders[0] > lams[-1]
-        # The objective still falls at the last order read, for every round count.
-        falling = ascending and objective[:, -1].tolist() == best_list
-        lams = lams + orders if ascending else sorted(lams + orders)
+        lams = lams + orders if not lams or orders[0] > lams[-1] else sorted(lams + orders)
         incumbents = list(zip(T_list, best_list))
-        reads, gaps = _next_round(gaps, lams, g, incumbents, neg_log_delta, floor, term_lines, falling)
+        reads, gaps = _next_round(gaps, lams, g, incumbents, neg_log_delta, floor)
     # The first of equal minima wins: each minimum's least order.
     results = []
     for t, b in enumerate(best_list):
@@ -460,8 +410,7 @@ def total_privacy(
         cfg.T,
         cfg.delta,
         cfg.lambda_max,
-        RDP_UPPER_FLOOR,
-        functools.partial(rdp_upper_term_lines, params),
+        functools.partial(binomial_floor, params),
     )
     return DpGuarantee(
         eps=eps,

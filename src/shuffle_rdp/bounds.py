@@ -15,9 +15,9 @@ random permutation of the k reports.  This module evaluates:
   from bounds on the terms that are linear in the order; the set-up of a
   mechanism is memoized.
 
-Each bound also states, as a :class:`GrowthFloor`, what its curve implies
-about orders not computed (``RDP_UPPER_FLOOR``, ``RDP_LOWER_FLOOR``); the
-accountant's order search builds its floors from that.
+For the upper bound, :func:`rdp_upper_term_lines` also gives lines below
+g(lambda) = (lambda - 1) eps(lambda) over orders not computed, which the
+accountant's order search uses with its own floors.
 
 Both RDP bounds take one order or a sequence of them and evaluate a
 sequence as one array expression over a (term x order) grid, in chunks of
@@ -74,6 +74,11 @@ _CHUNK_CELLS = 3 * 2**12
 # rows: its ten or so elementwise passes per sum outweigh the sum even at
 # 32 orders.
 _WIDE_CHUNK = 16
+
+#: Relative allowance for the rounding of a computed g(lambda) = (lambda - 1)
+#: eps(lambda), about 1e-13 (the tests pin 1e-11 against 60-digit sums):
+#: every line drawn below g from computed values is lowered by this much.
+G_TOL = 1e-9
 
 #: Largest lambda ln(1 + u) summed in linear space; e^700 is still finite.
 _LOG_SUM_SWITCH = 700.0
@@ -287,24 +292,6 @@ def _column_sums(cells: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(cells), axis=0)
 
 
-class GrowthFloor(Enum):
-    """What an RDP bound's curve tells about g(lambda) = (lambda - 1) eps(lambda)
-    at orders not computed, beyond g being nondecreasing (true of every
-    curve here).
-
-    ``CONVEX``: g is convex in lambda.  ``BINOMIAL``: g = ln(1 + S) with S a
-    sum of C(lambda, j) c_j over j >= 2, every c_j >= 0.  Then for
-    lambda > a and 2 <= j <= a, C(lambda, j) / C(a, j) is at least
-    C(lambda, 2) / C(a, 2), and S(a) has no terms past j = a, so
-    S(lambda) >= S(a) C(lambda, 2) / C(a, 2).  At a = 2 that is the closed
-    form S(lambda) >= C(lambda, 2) c_2, and it only rises with a.
-    """
-
-    MONOTONE = "monotone"
-    CONVEX = "convex"
-    BINOMIAL = "binomial"
-
-
 def _upper_log_terms(params: SubsampledShuffleParams, n_j: int):
     """(ternary, upsilon): the logs of the j-th ternary and Upsilon terms of
     :func:`rdp_upper`'s S without their C(lambda, j), for j = 2..n_j + 1;
@@ -338,8 +325,8 @@ def rdp_upper_term_lines(params: SubsampledShuffleParams, lo: int, hi: int):
     of S's terms with j <= lambda.  u is concave in lambda (its slope
     psi(lambda + 1) - psi(lambda - j + 1) falls), so its chord from lo to
     hi lies below it.  The lines take the j <= lo whose term is largest at
-    lo, and at hi, and are yielded in that order.  Each is lowered by 1e-9
-    relative for rounding, as the order search's floors are.
+    lo, and at hi, and are yielded in that order.  Each is lowered by G_TOL
+    relative for rounding.
     """
     log_c = _upper_log_coefficients(params)
     fact = _LOG_FACTORIAL[MAX_ORDER:]  # ln i!
@@ -348,7 +335,7 @@ def rdp_upper_term_lines(params: SubsampledShuffleParams, lo: int, hi: int):
         j = int(np.argmax(term - fact[at - lo:at - 1][::-1])) + 2  # - ln (at - j)!
         u_lo, u_hi = (float(fact[x] - fact[x - j] + term[j - 2]) for x in (lo, hi))
         slope = (u_hi - u_lo) / (hi - lo) if hi > lo else 0.0
-        yield u_lo - 1e-9 * (abs(u_lo) + abs(u_hi)) - slope * lo, slope
+        yield u_lo - G_TOL * (abs(u_lo) + abs(u_hi)) - slope * lo, slope
 
 
 def rdp_upper(lam, params: SubsampledShuffleParams):
@@ -593,19 +580,6 @@ def rdp_lower(lam, params: SubsampledShuffleParams):
             out[at[rows]] = terms.sums(lams[at[rows], None], cols, cut)
     out /= lams - 1.0
     return _shaped(out, lam)
-
-
-#: :func:`rdp_upper` is binomial: its S sums C(lambda, j) (x_j + y_j) with
-#: x_j, y_j >= 0 (the ternary and Upsilon terms), so it holds the pair
-#: term and Upsilon's j = 2 term, C(lambda, 2) (x_2 + A^2 e^{-(k-1)/(8 e^{eps0})}).
-RDP_UPPER_FLOOR = GrowthFloor.BINOMIAL
-
-#: :func:`rdp_lower`'s g is the cumulant generating function
-#: lambda -> ln E_{mu0}[(1 + u)^lambda] of ln(1 + u) under mu0, so it is
-#: convex, and it is (lambda - 1) times a Renyi divergence, which is
-#: nondecreasing in its order (van Erven & Harremoes, "Renyi Divergence and
-#: Kullback-Leibler Divergence", IEEE Trans. Inf. Theory 2014).
-RDP_LOWER_FLOOR = GrowthFloor.CONVEX
 
 
 def rdp_upper_curve(

@@ -32,21 +32,20 @@ from .accountant import (
     DEFAULT_LAMBDA_MAX,
     AccountantConfig,
     DpGuarantee,
+    binomial_floor,
     compose as compose_curve,
+    convex_floor,
     minimize_over_orders,
     rdp_to_dp,
 )
 from .baselines import baseline_total
 from .bounds import (
     MAX_ORDER,
-    RDP_LOWER_FLOOR,
-    RDP_UPPER_FLOOR,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
     rdp_lower,
     rdp_upper,
-    rdp_upper_term_lines,
 )
 from .checks import ALL_CHECKS
 from . import sgd
@@ -294,12 +293,12 @@ def _compare_rows(
     order search per bound, and each order is computed once."""
     Ts, delta, lambda_max = [cfg.T for cfg in cfgs], cfgs[0].delta, cfgs[0].lambda_max
     ours = minimize_over_orders(
-        lambda lam: rdp_upper(lam, params), Ts, delta, lambda_max, RDP_UPPER_FLOOR,
-        functools.partial(rdp_upper_term_lines, params),
+        lambda lam: rdp_upper(lam, params), Ts, delta, lambda_max,
+        functools.partial(binomial_floor, params),
     )
     bases = [baseline_total(params, T, delta) for T in Ts]
     lower = minimize_over_orders(
-        lambda lam: rdp_lower(lam, params), Ts, delta, lambda_max, RDP_LOWER_FLOOR
+        lambda lam: rdp_lower(lam, params), Ts, delta, lambda_max, convex_floor
     )
     return [
         (_fmt(o[0]), "degenerate" if base.degenerate else _fmt(base.eps), _fmt(lo[0]))

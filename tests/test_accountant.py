@@ -1,5 +1,6 @@
 """Tests for composition and RDP-to-DP conversion."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from shuffle_rdp.accountant import (
     AccountantConfig,
     Provenance,
+    binomial_floor,
     compose,
+    convex_floor,
     dp_penalty,
     minimize_over_orders,
     rdp_to_dp,
@@ -16,8 +19,6 @@ from shuffle_rdp.accountant import (
 )
 from shuffle_rdp.bounds import (
     MAX_ORDER,
-    RDP_LOWER_FLOOR,
-    RDP_UPPER_FLOOR,
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
@@ -153,7 +154,7 @@ class TestMinimizeOverOrders:
         blocks = []
         _, lam, _ = minimize_over_orders(
             lambda block: blocks.append(block) or rdp_upper(block, p), 10**5, 1e-8,
-            floor=RDP_UPPER_FLOOR,
+            floor=functools.partial(binomial_floor, p),
         )
         assert lam == 28
         assert blocks == [range(2, 34)]
@@ -164,7 +165,7 @@ class TestMinimizeOverOrders:
         p = SubsampledShuffleParams(n=10**4, k=100, eps0=1.0)
         minimize_over_orders(
             lambda block: blocks.append(block) or rdp_upper(block, p), 100, 1e-8, lambda_max,
-            RDP_UPPER_FLOOR,
+            functools.partial(binomial_floor, p),
         )
         assert blocks == [range(2, lambda_max + 1)]
 
@@ -176,13 +177,13 @@ class TestMinimizeOverOrders:
         calls = []
         joint = minimize_over_orders(
             lambda lam: calls.append(np.asarray(lam).tolist()) or rdp_lower(lam, p), Ts, 1e-8,
-            floor=RDP_LOWER_FLOOR,
+            floor=convex_floor,
         )
         single_calls = []
         single = [
             minimize_over_orders(
                 lambda lam: single_calls.append(lam) or rdp_lower(lam, p), T, 1e-8,
-                floor=RDP_LOWER_FLOOR,
+                floor=convex_floor,
             )
             for T in Ts
         ]

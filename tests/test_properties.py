@@ -1,6 +1,5 @@
 """Property tests of the RDP bounds over random mechanisms and order lists."""
 
-import bisect
 import functools
 import math
 from dataclasses import replace
@@ -10,12 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shuffle_rdp import accountant
-from shuffle_rdp.accountant import dp_penalty, minimize_over_orders
+from shuffle_rdp.accountant import binomial_floor, convex_floor, dp_penalty, minimize_over_orders
 from shuffle_rdp.bounds import (
     EPS0_MAX,
-    RDP_LOWER_FLOOR,
-    RDP_UPPER_FLOOR,
-    GrowthFloor,
     SubsampledShuffleParams,
     rdp_lower,
     rdp_upper,
@@ -134,10 +130,11 @@ def full_scan(curve, T, delta):
     return max(best, 0.0), objective.index(best) + 2, best
 
 
+# Each bound with its floor for a mechanism; None is the search's default.
 BOUNDS = {
-    "upper": (rdp_upper, RDP_UPPER_FLOOR),
-    "lower": (rdp_lower, RDP_LOWER_FLOOR),
-    "inf": (lambda lam, p: np.full(len(lam), math.inf), GrowthFloor.MONOTONE),
+    "upper": (rdp_upper, lambda p: functools.partial(binomial_floor, p)),
+    "lower": (rdp_lower, lambda p: convex_floor),
+    "inf": (lambda lam, p: np.full(len(lam), math.inf), lambda p: None),
 }
 SGD_BOX = SubsampledShuffleParams(n=1000, k=100, eps0=2.0)  # the sgd workload: eps near 14 at T = 25
 
@@ -159,15 +156,15 @@ SGD_BOX = SubsampledShuffleParams(n=1000, k=100, eps0=2.0)  # the sgd workload: 
 @example(SGD_BOX, [25, 100], 1e-8, 2048)  # eps near 14: the rest of g grows with high-j terms
 def test_search_equals_full_scan(p, Ts, delta, lambda_max):
     # For each bound, alone and for several round counts at once.
-    for name, (bound, floor) in BOUNDS.items():
+    for name, (bound, floor_of) in BOUNDS.items():
         if name == "upper" and p.k < 2:
             continue
         curve = bound(range(2, lambda_max + 1), p).tolist()
         want = [full_scan(curve, T, delta) for T in Ts]
         eps_fn = lambda lam: bound(lam, p)
-        term_lines = functools.partial(rdp_upper_term_lines, p) if name == "upper" else None
-        assert minimize_over_orders(eps_fn, Ts, delta, lambda_max, floor, term_lines) == want
-        assert minimize_over_orders(eps_fn, Ts[0], delta, lambda_max, floor, term_lines) == want[0]
+        floor = floor_of(p)
+        assert minimize_over_orders(eps_fn, Ts, delta, lambda_max, floor) == want
+        assert minimize_over_orders(eps_fn, Ts[0], delta, lambda_max, floor) == want[0]
         assert minimize_over_orders(eps_fn, Ts[0], delta, lambda_max) == want[0]
 
 
@@ -179,17 +176,19 @@ def test_search_equals_full_scan(p, Ts, delta, lambda_max):
     delta=st.sampled_from([1e-12, 1e-8, 0.5]),
 )
 def test_floors_lie_below_computed_g(p, extra, T, delta):
-    # With orders 2..33 and ``extra`` read, every line that a gap's parts
-    # put below g lies below the computed g at each order it covers, and
-    # its floor on the objective below the objective computed there.
+    # With orders 2..33 and ``extra`` read, every line that a floor yields
+    # for a piece of a gap, cut as the search cuts it, lies below the
+    # computed g at each order of the piece, and its floor on the objective
+    # below the objective computed there.  The search checks the gaps right
+    # of a read order a: up to the next read order, and for the floors
+    # drawn from the left alone, up to the ceiling L.
     L = 512
     neg_log_delta = -math.log(delta)
-    term_lines = functools.partial(rdp_upper_term_lines, p) if p.eps0 > 0 else None
-    for bound, parts in (
-        (rdp_upper, accountant._binomial_parts),
-        (rdp_lower, accountant._convex_parts),
-        (rdp_upper, accountant._monotone_parts),
-        (rdp_lower, accountant._monotone_parts),
+    for bound, floor, left_only in (
+        (rdp_upper, functools.partial(binomial_floor, p), True),
+        (rdp_lower, convex_floor, False),
+        (rdp_upper, accountant._monotone_floor, True),
+        (rdp_lower, accountant._monotone_floor, True),
     ):
         eps = bound(range(2, L + 1), p)
         g_all = eps * np.arange(1.0, L)
@@ -197,21 +196,17 @@ def test_floors_lie_below_computed_g(p, extra, T, delta):
         lams = sorted(set(range(2, 34)) | set(extra))
         g = {lam: float(g_all[lam - 2]) for lam in lams}
         ends = [*lams, L + 1]
-        for a, b in zip(ends, ends[1:]):
-            if b - a < 2:
-                continue
-            i = bisect.bisect_left(lams, a)
-            for part, rest in parts(lams, g, i, a + 1, b - 1, term_lines):
-                for lo, hi, lines in [part, *(rest() if rest else [])]:
+        for i, (a, b) in enumerate(zip(ends, ends[1:])):
+            for stop in {b - 1, L} if left_only else {b - 1}:
+                for lo, hi in accountant._pieces(a + 1, stop):
                     at = np.arange(lo, hi + 1)
-                    for line in lines:
-                        for q, slope in line() if callable(line) else [line]:
-                            assert np.all(q + slope * at <= g_all[at - 2])
-                            floor = accountant._line_floor(lo, hi, q, slope, float(T), neg_log_delta)
-                            assert floor <= objective[at - 2].min()
-    if term_lines is not None:  # the upper bound's term lines, past the log-space switch too
+                    for q, slope in floor(lams, g, i, lo, hi):
+                        assert np.all(q + slope * at <= g_all[at - 2])
+                        floor_obj = accountant._line_floor(lo, hi, q, slope, float(T), neg_log_delta)
+                        assert floor_obj <= objective[at - 2].min()
+    if p.eps0 > 0:  # the upper bound's term lines, past the log-space switch too
         g_all = rdp_upper(range(2, L + 1), p) * np.arange(1.0, L)
         for lo, hi in ((2, 2), (2, 40), (34, 512), (300, 400)):
             at = np.arange(lo, hi + 1)
-            for q, slope in term_lines(lo, hi):
+            for q, slope in rdp_upper_term_lines(p, lo, hi):
                 assert np.all(q + slope * at <= g_all[at - 2])

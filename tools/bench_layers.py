@@ -10,13 +10,18 @@ Rows, each the median over every repeat, in milliseconds:
   and 1000 (building the problem is not timed);
 * the headline ``total_privacy`` (eps0 = 2, n = 1e6, k = 1e3, T = 1e5,
   delta = 1e-8), per call over a loop of BLOCK_CALLS calls;
+* ``total_privacy`` per call over the points of the benchmark's query box
+  (``perfbench/workloads.py``, seed 1, QUERY_POINTS points) whose argmin
+  lies past order 33, where the order search reads past its first block;
 * a ``compare`` shaped like the benchmark's ``sweep`` operation, called in
   process: ``--axis T --values 10000,100000,1000000 --lambda-max 2048`` at
   the headline point;
 * ``rdp_lower`` over orders 2..2048 in one call, at gamma = 1e-3 and
   eps0 = 2, for k = 1e3 and k = 1e4 (the warm-up builds the per-mechanism
   set-up, so the timed calls measure the sums over orders);
-* the same ``compare`` at the lower bound's ceiling k = 1e6, n = 1e9;
+* the same ``compare`` at the lower bound's ceiling k = 1e6, n = 1e9,
+  cold: the lower bound's per-mechanism caches are cleared before each
+  run, as the set-up is most of it;
 * ``rdp_upper`` over orders 2..33 and 34..65 at the headline point, the
   first two full blocks an order scan can ask for, per call over a loop
   of BLOCK_CALLS calls, and over orders 2..2048 in one call, whose chunks
@@ -27,8 +32,9 @@ Rows in counts, not times:
 * the calls, the orders and the upper bound's cells (per chunk, its
   columns times both halves of its (term x order) grid) that
   ``total_privacy``'s order search evaluates per query, averaged over
-  QUERY_POINTS points of the benchmark's query box
-  (``perfbench/workloads.py``, seed 1);
+  QUERY_POINTS points of the benchmark's query box (seed 1), and over
+  SGD_POINTS points of its ``sgd`` box (n = 1000, k = 100, eps0 in
+  [1.5, 2.5], T in [25, 100], delta = 1e-8 as ``SgdConfig``'s default);
 * the calls and the orders that each bound computes in the two
   ``compare`` runs above.
 
@@ -77,6 +83,35 @@ LOWER_KS = (10**3, 10**4)
 UPPER_BLOCKS = (range(2, 34), range(34, 66))
 BLOCK_CALLS = 200  # a block or a headline query takes 0.1-0.3 ms: time a loop of calls
 QUERY_POINTS = 3000
+SGD_POINTS = 300
+DEEP_ORDER = 33  # the last order of the search's first block
+COLD_ROW = "compare, k=1e6, n=1e9, in process"  # timed with the lower bound's caches empty
+
+
+def _workload_points(srdp, name: str, n_ops: int) -> list:
+    """(params, AccountantConfig) of each total_privacy that n_ops seed-1
+    operations of the benchmark's ``query`` or ``sgd`` workload make."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[name]
+    points = []
+    for p in workload.inputs(1, n_ops, ROOT):
+        n, delta = (p["n"], p["delta"]) if name == "query" else (workload.n, 1e-8)
+        points.append((
+            srdp.SubsampledShuffleParams(n=n, k=p["k"], eps0=p["eps0"]),
+            srdp.AccountantConfig(T=p["T"], delta=delta),
+        ))
+    return points
+
+
+def _clear_lower_caches():
+    """Empty the lower bound's per-mechanism caches (older trees may lack one)."""
+    from shuffle_rdp import bounds, logspace
+
+    for cached in (getattr(bounds, "_lower_terms", None), getattr(logspace, "binom_log_pmf", None)):
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
 
 
 def _cases(srdp, cli, tmp: Path) -> dict:
@@ -93,6 +128,13 @@ def _cases(srdp, cli, tmp: Path) -> dict:
     cases["total_privacy, headline"] = (
         lambda: [srdp.total_privacy(params, acct) for _ in range(BLOCK_CALLS)], BLOCK_CALLS
     )
+    deep = [
+        (p, c) for p, c in _workload_points(srdp, "query", QUERY_POINTS)
+        if srdp.total_privacy(p, c).argmin_lambda > DEEP_ORDER
+    ]
+    cases[f"total_privacy, query box, argmin past {DEEP_ORDER}"] = (
+        lambda: [srdp.total_privacy(p, c) for p, c in deep], len(deep)
+    )
 
     def compare(argv):
         if cli.main([*argv, "--out", str(tmp / "compare")]) != 0:
@@ -105,7 +147,7 @@ def _cases(srdp, cli, tmp: Path) -> dict:
         cases[f"rdp_lower, orders 2..2048, k={k}, gamma=1e-3"] = (
             lambda p=p: srdp.rdp_lower(orders, p), 1
         )
-    cases["compare, k=1e6, n=1e9, in process"] = (lambda: compare(CEILING_ARGV), 1)
+    cases[COLD_ROW] = (lambda: compare(CEILING_ARGV), 1)
     for block in UPPER_BLOCKS:
         cases[f"rdp_upper, orders {block[0]}..{block[-1]}, headline"] = (
             lambda b=block: [srdp.rdp_upper(b, params) for _ in range(BLOCK_CALLS)], BLOCK_CALLS
@@ -114,12 +156,10 @@ def _cases(srdp, cli, tmp: Path) -> dict:
     return cases
 
 
-def _query_counts(srdp) -> dict:
-    """Calls, orders and upper-bound cells that total_privacy evaluates per query."""
+def _search_counts(srdp, label: str, points: list) -> dict:
+    """Calls, orders and upper-bound cells that total_privacy evaluates per
+    query, over the (params, AccountantConfig) points."""
     from shuffle_rdp import accountant, bounds
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import Query
 
     calls = orders = cells = 0
     rdp_upper = accountant.rdp_upper
@@ -137,17 +177,14 @@ def _query_counts(srdp) -> dict:
 
     accountant.rdp_upper = counted
     try:
-        for p in Query().inputs(1, QUERY_POINTS, ROOT):
-            srdp.total_privacy(
-                srdp.SubsampledShuffleParams(n=p["n"], k=p["k"], eps0=p["eps0"]),
-                srdp.AccountantConfig(T=p["T"], delta=p["delta"]),
-            )
+        for params, cfg in points:
+            srdp.total_privacy(params, cfg)
     finally:
         accountant.rdp_upper = rdp_upper
     return {
-        "total_privacy, calls per query, query box": calls / QUERY_POINTS,
-        "total_privacy, orders per query, query box": orders / QUERY_POINTS,
-        "total_privacy, rdp_upper cells per query, query box": cells / QUERY_POINTS,
+        f"total_privacy, calls per query, {label}": calls / len(points),
+        f"total_privacy, orders per query, {label}": orders / len(points),
+        f"total_privacy, rdp_upper cells per query, {label}": cells / len(points),
     }
 
 
@@ -180,7 +217,7 @@ def _compare_counts(cli, tmp: Path) -> dict:
 
 
 def measure(src: str) -> dict:
-    """Child process: REPEATS timings of every row, in ms, and the query counts."""
+    """Child process: REPEATS timings of every row, in ms, and the counts."""
     sys.path.insert(0, src)
     import shuffle_rdp as srdp
     from shuffle_rdp import cli
@@ -196,12 +233,17 @@ def measure(src: str) -> dict:
                 continue
             times = []
             for _ in range(REPEATS):
+                if name == COLD_ROW:
+                    _clear_lower_caches()
                 t0 = time.perf_counter()
                 fn()
                 times.append((time.perf_counter() - t0) * 1e3 / per)
             out[name] = times
-        counts = _compare_counts(cli, Path(tmp))
-    return {"ms": out, "count": {**_query_counts(srdp), **counts}}
+        compare_counts = _compare_counts(cli, Path(tmp))
+    counts = {}
+    for label, name, n_ops in (("query box", "query", QUERY_POINTS), ("sgd box", "sgd", SGD_POINTS)):
+        counts.update(_search_counts(srdp, label, _workload_points(srdp, name, n_ops)))
+    return {"ms": out, "count": {**counts, **compare_counts}}
 
 
 def _child(src: Path) -> dict:

@@ -37,11 +37,11 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln
 
 from .logspace import binom_log_pmf, log_expm1
 
@@ -87,22 +87,24 @@ _LOG_SUM_SWITCH = 700.0
 # cut = _DROP_BELOW + ln(k + 1): together they are under 1e-40 of its sum.
 _DROP_BELOW = math.log(1e40) + 1.0
 
-# Tables the upper bound reads its columns from.  _LOG_FACTORIAL holds ln i!
-# at index MAX_ORDER + i for i = -MAX_ORDER..MAX_ORDER, with gammaln's +inf
-# poles at i < 0, so ln C(lambda, j) = ln lambda! - ln j! - ln (lambda - j)!
-# is -inf where j > lambda.  Two views of it read, for j = 2, 3, ..., ln j!
-# (a column) and, in column MAX_ORDER + 2 - lambda, ln (lambda - j)!.  The
-# others hold j, ln j and ln Gamma(j/2) for j = 2..MAX_ORDER; _J, read-only,
-# also holds the orders of a range.
-_LOG_FACTORIAL = np.concatenate(
-    [np.full(MAX_ORDER, np.inf), gammaln(np.arange(1.0, MAX_ORDER + 2.0))]
-)
+# Tables the upper bound reads its columns from, all from one checked-in
+# table of ln Gamma(h/2), h = 1..2 (MAX_ORDER + 1), that tools/gamma_table.py
+# writes with scipy's gammaln.  _LOG_FACTORIAL holds ln i! = ln Gamma(i + 1)
+# at index MAX_ORDER + i for i = -MAX_ORDER..MAX_ORDER, with the +inf of
+# Gamma's poles at i < 0, so ln C(lambda, j) = ln lambda! - ln j!
+# - ln (lambda - j)! is -inf where j > lambda.  Two views of it read, for
+# j = 2, 3, ..., ln j! (a column) and, in column MAX_ORDER + 2 - lambda,
+# ln (lambda - j)!.  The others hold j, ln j and ln Gamma(j/2) for
+# j = 2..MAX_ORDER; _J, read-only, also holds the orders of a range.
+_GAMMALN_HALVES = np.load(Path(__file__).with_name("_gammaln_halves.npy"))
+_GAMMALN_HALVES.flags.writeable = False
+_LOG_FACTORIAL = np.concatenate([np.full(MAX_ORDER, np.inf), _GAMMALN_HALVES[1::2]])
 _LOG_FACTORIAL_J = _LOG_FACTORIAL[MAX_ORDER + 2:, None]
 _LOG_FACTORIAL_DOWN = sliding_window_view(_LOG_FACTORIAL[::-1], MAX_ORDER + 1)
 _J = np.arange(2.0, MAX_ORDER + 1.0)
 _J.flags.writeable = False
 _LOG_J = np.log(_J)
-_LOG_GAMMA_HALF_J = gammaln(_J / 2.0)
+_LOG_GAMMA_HALF_J = _GAMMALN_HALVES[1:MAX_ORDER]
 
 # Taylor coefficients of e^t - 1 - t (from t^2) and of ln(1 + u) - u (from
 # u^2).  Below |x| = 0.01 the first omitted term is under 1e-17 relative.

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, check_eps0
 from .bounds import _LOG_SUM_SWITCH, _rr2_ratio_minus_one
-from .logspace import binom_log_pmf
+from .logspace import binom_log_pmf, logsumexp
 
 #: Enumeration caps: the full invariant suite must run in well under a minute.
 HIST_MAX_K = 12
@@ -134,10 +133,9 @@ def exact_rdp_2rr_subshuffle(lam: int, params: SubsampledShuffleParams) -> float
 
     Accurate domain: every order and mechanism it accepts.  The terms are
     nonnegative, so nothing cancels however small sd(x) is.  Against
-    60-digit sums it is within 3e-14 relative at n = 1e6 and 1e9, k = 1e3,
-    eps0 = 2 (the error of binom_log_pmf's masses, which ``rdp_lower``
-    shares), and within 1e-15 at n = k = 1, eps0 = 3.3e-18, where the
-    divergence is about 1e-35.
+    60-digit sums it is within 2e-15 relative at n = 1e6 and 1e9, k = 1e3,
+    eps0 = 2 and orders 2, 8 and 64, and within 1e-15 at n = k = 1,
+    eps0 = 3.3e-18, where the divergence is about 1e-35.
     """
     if lam != int(lam) or lam < 2:
         raise ValueError(f"order lambda must be an integer >= 2, got {lam}")
@@ -157,7 +155,7 @@ def exact_rdp_2rr_subshuffle(lam: int, params: SubsampledShuffleParams) -> float
         log1p_x = np.log1p(x)
     t = lam * log1p_x
     if float(np.max(t)) >= _LOG_SUM_SWITCH:
-        return float(logsumexp(log_mu0 + t)) / (lam - 1)
+        return logsumexp(log_mu0 + t) / (lam - 1)
     bracket = np.expm1(t) - lam * x
     near, tiny = np.abs(t) < 1.0, np.abs(x) < 0.01
     log_tail = log1p_x - x

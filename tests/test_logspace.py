@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from shuffle_rdp.logspace import ZERO, SignedLog, binom_log_pmf, log_binomial_row
-
-# Big-integer factorial oracle, run once: math.log(math.comb(1000, 500)).
-LOG_C_1000_500 = 689.4672615678512
-
-
-def log_binomial(n, k):
-    return float(log_binomial_row(n, np.float64(k)))
+from shuffle_rdp import logspace
+from shuffle_rdp.logspace import ZERO, SignedLog, binom_log_pmf
 
 
 class TestSignedLog:
@@ -38,32 +32,6 @@ class TestSignedLog:
             SignedLog(1, -math.inf)
 
 
-class TestLogBinomial:
-    def test_hand_values(self):
-        assert log_binomial(5, 2) == pytest.approx(math.log(10), rel=1e-15)
-        for n in (0, 1, 7, 123):
-            assert log_binomial(n, 0) == 0.0
-            assert log_binomial(n, n) == 0.0
-
-    def test_big_integer_oracle(self):
-        assert log_binomial(1000, 500) == pytest.approx(LOG_C_1000_500, rel=1e-12)
-
-    def test_pascals_rule_in_log_space(self):
-        for n in range(2, 61):
-            for k in range(1, n):
-                lhs = log_binomial(n, k)
-                rhs = np.logaddexp(log_binomial(n - 1, k - 1), log_binomial(n - 1, k))
-                assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_grid_is_minus_inf_past_each_row(self):
-        # The upper bound's (order x j) grid relies on C(n, j) = 0 for j > n.
-        n = np.array([[2.0], [5.0]])
-        ks = np.arange(0.0, 7.0)
-        grid = log_binomial_row(n, ks)
-        assert np.all(np.isneginf(grid[0, 3:])) and np.all(np.isneginf(grid[1, 6:]))
-        assert np.array_equal(grid[1, :6], log_binomial_row(5.0, ks[:6]))
-
-
 class TestBinomLogPmf:
     @pytest.mark.parametrize("k", [10**3, 10**4, 10**5, 10**6])
     def test_total_mass_is_one(self, k):
@@ -73,3 +41,53 @@ class TestBinomLogPmf:
     def test_degenerate_p(self):
         assert np.array_equal(np.exp(binom_log_pmf(3, 0.0)), [1.0, 0.0, 0.0, 0.0])
         assert np.array_equal(np.exp(binom_log_pmf(3, 1.0)), [0.0, 0.0, 0.0, 1.0])
+
+
+class TestLoaderPmf:
+    """binom_log_pmf against 50-digit mpmath.  The k cover every breakpoint
+    of Stirling's error (15, 35, 80, 500) on both sides, and at k = 1e3 and
+    1e6 the m cover both sides of the deviance's series switch."""
+
+    @staticmethod
+    def reference(k, p, ms):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            p = mpmath.mpf(p)  # the double binom_log_pmf is given
+            top, lp, lq = mpmath.loggamma(k + 1), mpmath.log(p), mpmath.log1p(-p)
+            return [
+                float(top - mpmath.loggamma(m + 1) - mpmath.loggamma(k - m + 1) + m * lp + (k - m) * lq)
+                for m in ms
+            ]
+
+    @staticmethod
+    def points(k, p):
+        """Every m for k <= 1e3; otherwise the ends, the breakpoints, both
+        sides of each deviance switch and a spread over the peak."""
+        if k <= 1000:
+            return list(range(k + 1))
+        near = [0, 1, 2, 15, 16, 35, 36, 80, 81, 500, 501]
+        for c in (k * p, k * (1.0 - p)):
+            near += [int(b) + d for b in (9 * c / 11, c, 11 * c / 9) for d in (-1, 0, 1, 2)]
+        near += range(int(k * p) - 3000, int(k * p) + 3000, 250)
+        return sorted({m for x in near for m in (x, k - x) if 0 <= m <= k})
+
+    @pytest.mark.parametrize("eps0", [0.1, 2.0, 5.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 35, 36, 80, 81, 500, 501, 10**3, 10**6])
+    def test_against_mpmath(self, k, eps0):
+        p = 1.0 / (math.exp(eps0) + 1.0)
+        ms = self.points(k, p)
+        got = binom_log_pmf(k, p)[ms]
+        ref = np.array(self.reference(k, p, ms))
+        assert np.all(np.abs(got - ref) <= 2e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+class TestLogSumExp:
+    def test_values(self):
+        a = np.array([-1000.0, -np.inf, -1001.0, -1003.0])
+        ref = -1000.0 + math.log(1.0 + math.exp(-1.0) + math.exp(-3.0))
+        assert logspace.logsumexp(a) == pytest.approx(ref, rel=1e-15)
+        assert logspace.logsumexp(np.array([800.0, 800.0])) == pytest.approx(800.0 + math.log(2.0))
+
+    def test_empty_and_all_minus_inf(self):
+        assert logspace.logsumexp(np.array([])) == -math.inf
+        assert logspace.logsumexp(np.full(3, -np.inf)) == -math.inf

@@ -25,7 +25,14 @@ Rows, each the median over every repeat, in milliseconds:
 * ``rdp_upper`` over orders 2..33 and 34..65 at the headline point, the
   first two full blocks an order scan can ask for, per call over a loop
   of BLOCK_CALLS calls, and over orders 2..2048 in one call, whose chunks
-  hold a few tall columns each.
+  hold a few tall columns each;
+* ``logspace.binom_log_pmf`` at eps0 = 2, uncached, for k = 1e3 (per call
+  over a loop of BLOCK_CALLS calls) and k = 1e6, the lower bound's
+  per-mechanism set-up;
+* start-up, each in a fresh process: ``import shuffle_rdp`` with numpy
+  already loaded (as the benchmark's runner loads it), and the command
+  ``shuffle-rdp bound`` at the headline point with ``--lambda-max 64``,
+  end to end, as ``python -m shuffle_rdp`` run from the shell.
 
 Rows in counts, not times:
 
@@ -38,6 +45,9 @@ Rows in counts, not times:
 * the calls and the orders that each bound computes in the two
   ``compare`` runs above.
 
+Rows in MB: the tracemalloc peak of ``binom_log_pmf`` at k = 1e6, and the
+peak RSS of the process that imported ``shuffle_rdp`` (median).
+
 A row whose call fails in one tree (a ``compare`` that a parent's k ceiling
 refuses) reads null there.
 
@@ -45,14 +55,18 @@ Every measurement runs in a child process that imports ``shuffle_rdp`` from
 the ``src`` directory it is given.  With ``--parent``, the children
 alternate between the parent's tree and this one, ROUNDS times each, so
 that a drift of the host's speed falls on both columns alike.  Each child
-warms every row up once, then times it REPEATS times.  The file records the
-machine: CPU count, Python and numpy versions.
+warms every row up once, then times it REPEATS times.  The start-up rows
+take STARTUP_REPEATS fresh processes per tree, the two trees alternating
+within each repeat, as a 20-30% swing of the host between child processes
+would otherwise decide them.  The file records the machine: CPU count,
+Python and numpy versions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -60,6 +74,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +101,20 @@ QUERY_POINTS = 3000
 SGD_POINTS = 300
 DEEP_ORDER = 33  # the last order of the search's first block
 COLD_ROW = "compare, k=1e6, n=1e9, in process"  # timed with the lower bound's caches empty
+PMF_KS = (10**3, 10**6)
+PMF_P = 1.0 / (math.exp(2.0) + 1.0)  # eps0 = 2
+PMF_PEAK_ROW = f"binom_log_pmf, k={PMF_KS[-1]}, eps0=2, tracemalloc peak"
+STARTUP_REPEATS = 15
+IMPORT_ROW = "import shuffle_rdp, numpy loaded, fresh process"
+IMPORT_RSS_ROW = "import shuffle_rdp, peak RSS of the process"
+BOUND_ROW = "shuffle-rdp bound --lambda-max 64, headline, end to end"
+BOUND_ARGV = ["bound", "--eps0", "2", "--k", "1000", "--n", "1000000", "--lambda-max", "64"]
+IMPORT_CODE = (
+    "import resource, time, numpy\n"
+    "t0 = time.perf_counter()\n"
+    "import shuffle_rdp\n"
+    "print((time.perf_counter() - t0) * 1e3, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+)
 
 
 def _workload_points(srdp, name: str, n_ops: int) -> list:
@@ -153,7 +182,30 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             lambda b=block: [srdp.rdp_upper(b, params) for _ in range(BLOCK_CALLS)], BLOCK_CALLS
         )
     cases["rdp_upper, orders 2..2048, headline"] = (lambda: srdp.rdp_upper(orders, params), 1)
+    pmf = _uncached_pmf()
+    for k in PMF_KS:
+        calls = BLOCK_CALLS if k < 10**4 else 1
+        cases[f"binom_log_pmf, k={k}, eps0=2, uncached"] = (
+            lambda k=k, calls=calls: [pmf(k, PMF_P) for _ in range(calls)], calls
+        )
     return cases
+
+
+def _uncached_pmf():
+    from shuffle_rdp import logspace
+
+    return logspace.binom_log_pmf.__wrapped__
+
+
+def _pmf_peak_mb() -> float:
+    """tracemalloc peak of one uncached binom_log_pmf at the largest k, in MB."""
+    pmf = _uncached_pmf()
+    tracemalloc.start()
+    try:
+        pmf(PMF_KS[-1], PMF_P)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _search_counts(srdp, label: str, points: list) -> dict:
@@ -243,7 +295,7 @@ def measure(src: str) -> dict:
     counts = {}
     for label, name, n_ops in (("query box", "query", QUERY_POINTS), ("sgd box", "sgd", SGD_POINTS)):
         counts.update(_search_counts(srdp, label, _workload_points(srdp, name, n_ops)))
-    return {"ms": out, "count": {**counts, **compare_counts}}
+    return {"ms": out, "count": {**counts, **compare_counts}, "MB": {PMF_PEAK_ROW: _pmf_peak_mb()}}
 
 
 def _child(src: Path) -> dict:
@@ -252,6 +304,23 @@ def _child(src: Path) -> dict:
         check=True, capture_output=True, text=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _startup(src: Path, tmp: str) -> tuple[dict, dict]:
+    """Start-up times (ms) and the import's peak RSS (MB), each from a
+    fresh process that imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CODE], env=env, check=True, capture_output=True, text=True
+    )
+    import_ms, rss_mb = map(float, proc.stdout.split())
+    t0 = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "shuffle_rdp", *BOUND_ARGV, "--out", tmp],
+        env=env, check=True, capture_output=True,
+    )
+    bound_ms = (time.perf_counter() - t0) * 1e3
+    return {IMPORT_ROW: import_ms, BOUND_ROW: bound_ms}, {IMPORT_RSS_ROW: rss_mb}
 
 
 def main() -> int:
@@ -270,7 +339,7 @@ def main() -> int:
     if args.parent:
         sides = {"parent": args.parent.resolve() / "src", **sides}
     samples = {side: {} for side in sides}
-    counts = {}
+    counts, memory = {}, {side: {} for side in sides}
     for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(reversed(sides))
         for side in order:
@@ -278,6 +347,15 @@ def main() -> int:
             for name, times in child["ms"].items():
                 samples[side].setdefault(name, []).extend(times)
             counts[side] = child["count"]
+            memory[side].update({name: [mb] for name, mb in child["MB"].items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        for r in range(STARTUP_REPEATS):
+            for side in list(sides) if r % 2 == 0 else list(reversed(sides)):
+                times, mbs = _startup(sides[side], tmp)
+                for name, ms in times.items():
+                    samples[side].setdefault(name, []).append(ms)
+                for name, mb in mbs.items():
+                    memory[side].setdefault(name, []).append(mb)
 
     rows = []
     for name in samples["change"]:
@@ -287,6 +365,10 @@ def main() -> int:
             row[side] = round(statistics.median(times), 4) if times else None
         row["repeats"] = len(samples["change"][name])
         rows.append(row)
+    for name in memory["change"]:
+        rows.append({"case": name, "unit": "MB", **{
+            side: round(statistics.median(memory[side][name]), 2) for side in sides
+        }})
     for name in counts["change"]:
         values = {side: counts[side].get(name) for side in sides}
         rows.append({"case": name, "unit": "count", **{
@@ -299,7 +381,10 @@ def main() -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        "method": f"median over {ROUNDS} child processes x {REPEATS} repeats per row, each after one warm-up",
+        "method": (
+            f"median over {ROUNDS} child processes x {REPEATS} repeats per row, each after one warm-up;"
+            f" start-up rows: median over {STARTUP_REPEATS} fresh processes per tree, alternating"
+        ),
         "rows": rows,
     }
     path = ROOT / f"BENCH_{args.pr}.json"

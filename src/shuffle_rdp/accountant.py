@@ -15,6 +15,11 @@ give tighter floors (:func:`convex_floor` for the lower bound,
 stretch of unread orders, which gives a floor on the objective there, and
 a stretch whose floor lies above the best objective read so far cannot
 hold the minimum.
+
+:class:`AccountantConfig`, :func:`compose` and :func:`minimize_over_orders`
+share their argument checks and raise ValueError with one wording: every
+round count T a positive integer, 0 < delta < 1, and lambda_max an
+integer in [2, MAX_ORDER].
 """
 
 from __future__ import annotations
@@ -99,20 +104,27 @@ class AccountantConfig:
     lambda_max: int = DEFAULT_LAMBDA_MAX
 
     def __post_init__(self):
-        if self.T < 1 or self.T != int(self.T):
-            raise ValueError(f"T must be a positive integer, got {self.T}")
+        _check_rounds(self.T)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not 2 <= self.lambda_max <= MAX_ORDER or self.lambda_max != int(self.lambda_max):
-            raise ValueError(
-                f"lambda_max must be an integer in [2, MAX_ORDER = {MAX_ORDER}], got {self.lambda_max}"
-            )
+        _check_lambda_max(self.lambda_max)
+
+
+def _check_rounds(T) -> None:
+    if not 1 <= T < math.inf or T != int(T):
+        raise ValueError(f"T must be a positive integer, got {T}")
+
+
+def _check_lambda_max(lambda_max) -> None:
+    if not 2 <= lambda_max <= MAX_ORDER or lambda_max != int(lambda_max):
+        raise ValueError(
+            f"lambda_max must be an integer in [2, MAX_ORDER = {MAX_ORDER}], got {lambda_max}"
+        )
 
 
 def compose(curve: RdpCurve, T: int) -> RdpCurve:
     """Entry-wise T-fold composition: (lambda, eps) -> (lambda, T eps)."""
-    if T < 1 or T != int(T):
-        raise ValueError(f"T must be a positive integer, got {T}")
+    _check_rounds(T)
     entries = tuple((lam, T * eps) for lam, eps in curve.entries)
     return RdpCurve(entries=entries, kind=curve.kind, params=curve.params)
 
@@ -184,10 +196,13 @@ def _settles(lo: int, hi: int, lines, incumbents, neg_log_delta: float) -> bool:
     g over the orders lo..hi, puts the floor on the objective there above
     the best objective read for every round count, (T, best) in
     ``incumbents``.  ``lines`` is consumed only up to the first that does."""
-    return any(
-        all(_line_floor(lo, hi, q, slope, T, neg_log_delta) > best for T, best in incumbents)
-        for q, slope in lines
-    )
+    for q, slope in lines:
+        for T, best in incumbents:
+            if not _line_floor(lo, hi, q, slope, T, neg_log_delta) > best:
+                break
+        else:
+            return True
+    return False
 
 
 def _pieces(start: int, stop: int):
@@ -270,8 +285,10 @@ def _next_round(gaps, lams, g, incumbents, neg_log_delta: float, floor):
 
     ``gaps`` are the stretches of unread orders (start, stop) not yet
     settled, ascending; ``lams`` the orders read, ascending, and ``g``
-    their (lambda - 1) eps by order; ``incumbents`` pairs each round count
-    with the best objective read for it.
+    maps each to its (lambda - 1) eps; ``incumbents`` pairs each round
+    count with the best objective read for it.  The orders to read are a
+    range where they are one block (an empty range where there are none),
+    else an ascending integer array.
 
     Each gap is checked in pieces (_pieces) against the lines ``floor``
     puts below g there.  A piece that one line settles (_settles) stays
@@ -313,7 +330,9 @@ def _next_round(gaps, lams, g, incumbents, neg_log_delta: float, floor):
         reads.extend(picked)
         edges = [lo - 1, *picked, hi + 1]
         after.extend((x + 1, y - 1) for x, y in zip(edges, edges[1:]) if y - x > 1)
-    if reads and reads[-1] - reads[0] == len(reads) - 1:  # a block: a range is cheaper to check
+    if not reads:
+        return range(0), after
+    if reads[-1] - reads[0] == len(reads) - 1:  # a block: a range is cheaper to check
         return range(reads[0], reads[-1] + 1), after
     return np.array(reads, dtype=np.intp), after
 
@@ -328,7 +347,8 @@ def minimize_over_orders(
     """(clamped eps, argmin lambda, unclamped eps) of the minimum over lambda
     in {2..lambda_max} of T eps_fn(lambda) + dp_penalty(lambda, delta).  With
     no finite objective there is no argmin: (inf, None, inf).  The first of
-    equal minima wins.  ``T`` is one round count, or a sequence of them that
+    equal minima wins, and an order whose eps is NaN is no candidate (the
+    rule of np.fmin).  ``T`` is one round count, or a sequence of them that
     share one search; the result is a tuple or a list of tuples to match.
 
     ``eps_fn`` maps orders (a range, or an ascending integer array) to their
@@ -357,47 +377,54 @@ def minimize_over_orders(
     times 1 + t for a secant extended t times the distance between its
     points, and every floor on the objective by _SLACK = 1e-12 times its
     terms.
+
+    Raises ValueError, worded as :class:`AccountantConfig` words it, unless
+    0 < delta < 1, ``lambda_max`` is an integer in [2, MAX_ORDER] and every
+    round count is a positive integer.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_lambda_max(lambda_max)
+    many = not isinstance(T, (int, float)) and np.ndim(T) > 0  # np.ndim is slow on a number
+    for t in T if many else (T,):
+        _check_rounds(t)
+    T_list = [float(t) for t in T] if many else [float(T)]
+    Ts = np.array(T_list)
     neg_log_delta = -math.log(delta)
     floor = floor or _monotone_floor
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    T_list, best = Ts.tolist(), np.full(Ts.size, math.inf)
+    # The incumbent of each round count: the least objective read, and the
+    # least order that reads it.
+    best, argmin = [math.inf] * len(T_list), [None] * len(T_list)
     reads = range(2, min(_FIRST_STOP, lambda_max + 1))
     gaps = [(reads.stop, lambda_max)] if reads.stop <= lambda_max else []
-    lams, g, chunks = [], [0.0] * (lambda_max + 1), []
+    lams, g = [], {}
     while len(reads):
         block = isinstance(reads, range)
-        at, orders = (slice(reads.start, reads.stop), np.arange(reads.start, reads.stop)) if block else (reads, reads)
+        at = slice(reads.start, reads.stop) if block else reads
         eps = np.asarray(eps_fn(reads), dtype=float)
         order_minus_one = _ORDER_MINUS_ONE[at]
         objective = np.multiply.outer(Ts, eps)
         # dp_penalty, bit for bit (see the tables)
         objective += ((neg_log_delta + _PENALTY_A[at]) - _PENALTY_B[at]) / order_minus_one
-        chunks.append((orders, objective))
-        best = np.fmin(best, np.fmin.reduce(objective, axis=1))
-        best_list, values = best.tolist(), (eps * order_minus_one).tolist()
-        if block:
-            g[reads.start:reads.stop] = values
-            orders = list(reads)
-        else:
-            orders = orders.tolist()
-            for lam, value in zip(orders, values):
-                g[lam] = value
+        orders = list(reads) if block else reads.tolist()
+        # Orders ascend within a round: a row's first least entry has the
+        # least order, and an earlier round's incumbent keeps a tie only
+        # with a lesser order.
+        for t, j in enumerate(objective.argmin(axis=1).tolist()):
+            row = objective[t]
+            if row[j] != row[j]:  # argmin stops at a NaN, which np.fmin would pass over
+                j = int(np.argmin(np.where(row == row, row, math.inf)))
+            value = float(row[j])
+            if value < best[t] or value == best[t] < math.inf and orders[j] < argmin[t]:
+                best[t], argmin[t] = value, orders[j]
+        g.update(zip(orders, (eps * order_minus_one).tolist()))
         lams = lams + orders if not lams or orders[0] > lams[-1] else sorted(lams + orders)
-        incumbents = list(zip(T_list, best_list))
-        reads, gaps = _next_round(gaps, lams, g, incumbents, neg_log_delta, floor)
-    # The first of equal minima wins: each minimum's least order.
-    results = []
-    for t, b in enumerate(best_list):
-        if not b < math.inf:
-            results.append((math.inf, None, math.inf))
-            continue
-        hits = [objective[t] == b for _, objective in chunks]
-        lam = min(int(order[np.argmax(hit)]) for (order, _), hit in zip(chunks, hits) if hit.any())
-        results.append((max(b, 0.0), lam, b))
-    return results if np.ndim(T) else results[0]
+        reads, gaps = _next_round(gaps, lams, g, list(zip(T_list, best)), neg_log_delta, floor)
+    results = [
+        (max(b, 0.0), lam, b) if b < math.inf else (math.inf, None, math.inf)
+        for b, lam in zip(best, argmin)
+    ]
+    return results if many else results[0]
 
 
 def total_privacy(

@@ -23,8 +23,10 @@ Both RDP bounds take one order or a sequence of them and evaluate a
 sequence as one array expression over a (term x order) grid, in chunks of
 at most _CHUNK_CELLS cells.  Each order's terms are summed down its column
 in sequence, so a value does not depend on which other orders are asked
-for with it.  Orders are restricted to integers lambda >= 2, exactly as the
-closed forms are stated, and at most MAX_ORDER.  At eps0 = 0 every
+for with it.  The upper bound's ln C(lambda, j) grid of a chunk depends on
+its orders alone, and for a range of orders it is read from a small cache
+that fills on first use.  Orders are restricted to integers lambda >= 2,
+exactly as the closed forms are stated, and at most MAX_ORDER.  At eps0 = 0 every
 quantity here is identically zero.  Every closed form evaluates e^{eps0}, so
 eps0 must lie in [0, EPS0_MAX], where EPS0_MAX = ln(largest double) ~ 709.78
 is the largest eps0 whose e^{eps0} is a finite double.
@@ -74,6 +76,10 @@ _CHUNK_CELLS = 3 * 2**12
 # rows: its ten or so elementwise passes per sum outweigh the sum even at
 # 32 orders.
 _WIDE_CHUNK = 16
+
+# The upper bound's ln C(lambda, j) grids kept for chunks that are ranges
+# of orders; at most _CHUNK_CELLS cells each, so 4 hold at most 384 KB.
+_BLOCK_GRIDS = 4
 
 #: Relative allowance for the rounding of a computed g(lambda) = (lambda - 1)
 #: eps(lambda), about 1e-13 (the tests pin 1e-11 against 60-digit sums):
@@ -309,15 +315,6 @@ def _upper_log_terms(params: SubsampledShuffleParams, n_j: int):
     return ternary, upsilon
 
 
-@lru_cache(maxsize=2)
-def _upper_log_coefficients(params: SubsampledShuffleParams) -> np.ndarray:
-    """ln c_j = ln(x_j + y_j) for j = 2..MAX_ORDER, where rdp_upper's S
-    is the sum of C(lambda, j) c_j (read-only, memoized per mechanism)."""
-    out = np.logaddexp(*_upper_log_terms(params, MAX_ORDER - 1))
-    out.setflags(write=False)
-    return out
-
-
 def rdp_upper_term_lines(params: SubsampledShuffleParams, lo: int, hi: int):
     """Two lines (q, slope), q + slope lambda, each below (lambda - 1) times
     :func:`rdp_upper` at every order in lo..hi (2 <= lo <= hi, eps0 > 0,
@@ -330,9 +327,9 @@ def rdp_upper_term_lines(params: SubsampledShuffleParams, lo: int, hi: int):
     lo, and at hi, and are yielded in that order.  Each is lowered by G_TOL
     relative for rounding.
     """
-    log_c = _upper_log_coefficients(params)
+    log_c = np.logaddexp(*_upper_log_terms(params, lo - 1))  # ln c_j, j = 2..lo
     fact = _LOG_FACTORIAL[MAX_ORDER:]  # ln i!
-    term = log_c[:lo - 1] - fact[2:lo + 1]  # ln c_j - ln j!, j = 2..lo
+    term = log_c - fact[2:lo + 1]  # ln c_j - ln j!, j = 2..lo
     for at in (lo, hi):
         j = int(np.argmax(term - fact[at - lo:at - 1][::-1])) + 2  # - ln (at - j)!
         u_lo, u_hi = (float(fact[x] - fact[x - j] + term[j - 2]) for x in (lo, hi))
@@ -355,7 +352,9 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
         Upsilon = ((1 + A)^lambda - 1 - lambda A) e^{-(k-1)/(8 e^{eps0})} with
         A = gamma (e^{2 eps0}-1)/e^{eps0}, expanded binomially so it stays in
         log space even when (1 + A)^lambda overflows.
-    Each order is one column of a (j x order) grid of these log terms.
+    Each order is one column of a (j x order) grid of these log terms: the
+    ln C(lambda, j) grid (:func:`_log_binomials`, cached for a range of
+    orders) plus each term's log without it.
     """
     lams = _orders(lam)
     if params.k < 2:
@@ -367,22 +366,41 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
     n_j = int(lams.max()) - 1
     ternary, upsilon = _upper_log_terms(params, n_j)
     orders = lams.astype(np.intp)
+    block = isinstance(lam, range) and lam.step == 1
     for at in _order_chunks(lams.size, 2 * n_j):
         o = orders[at]
-        height = int(o.max()) - 1
-        binom = np.subtract(
-            _LOG_FACTORIAL[MAX_ORDER + o],
-            _LOG_FACTORIAL_J[:height],
-            order="C" if o.size >= _WIDE_CHUNK else "F",
-        )
-        binom -= _LOG_FACTORIAL_DOWN[:height, MAX_ORDER + 2 - o]
-        cells = np.empty_like(binom, shape=(2 * height, o.size))
-        np.add(binom, ternary[:height, None], out=cells[:height])
-        np.add(binom, upsilon[:height, None], out=cells[height:])
+        grid = _block_log_binomials(int(o[0]), int(o[-1]) + 1) if block else _log_binomials(o)
+        height = grid.shape[0] // 2
+        terms = np.concatenate((ternary[:height], upsilon[:height]))[:, None]
+        cells = np.add(grid, terms, out=np.empty_like(grid))
         top = cells.max(axis=0)
-        log_sum = top + np.log(_column_sums(np.exp(cells - top)))
+        cells -= top
+        log_sum = top + np.log(_column_sums(np.exp(cells, out=cells)))
         out[at] = np.logaddexp(0.0, log_sum) / (lams[at] - 1.0)
     return _shaped(out, lam)
+
+
+def _log_binomials(orders: np.ndarray) -> np.ndarray:
+    """ln C(lambda, j) for j = 2..max(orders) (rows) and lambda in
+    ``orders`` (columns), -inf where j > lambda, stacked twice: the grid
+    that :func:`rdp_upper` adds the ternary and then the Upsilon terms to.
+    C-ordered from _WIDE_CHUNK orders, else F-ordered (see _WIDE_CHUNK)."""
+    height = int(orders.max()) - 1
+    grid = np.empty((2 * height, orders.size), order="C" if orders.size >= _WIDE_CHUNK else "F")
+    binom = grid[:height]
+    np.subtract(_LOG_FACTORIAL[MAX_ORDER + orders], _LOG_FACTORIAL_J[:height], out=binom)
+    binom -= _LOG_FACTORIAL_DOWN[:height, MAX_ORDER + 2 - orders]
+    grid[height:] = binom
+    return grid
+
+
+@lru_cache(maxsize=_BLOCK_GRIDS)
+def _block_log_binomials(start: int, stop: int) -> np.ndarray:
+    """_log_binomials of the orders start..stop - 1, read-only and memoized:
+    the order search asks for the same few blocks for every mechanism."""
+    grid = _log_binomials(np.arange(start, stop))
+    grid.flags.writeable = False
+    return grid
 
 
 def _rr2_ratio_minus_one(k: int, eps0: float) -> np.ndarray:

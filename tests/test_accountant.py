@@ -194,12 +194,69 @@ class TestMinimizeOverOrders:
         assert len(calls) < len(single_calls)
 
     def test_no_finite_objective_has_no_argmin(self):
-        blocks = []
+        # Neither an infinite nor a NaN eps (np.fmin's rule) is a finite
+        # candidate.
+        for value in (math.inf, math.nan):
+            blocks = []
+            result = minimize_over_orders(
+                lambda block: blocks.append(block) or [value] * len(block), 10, 1e-8, 512
+            )
+            assert result == (math.inf, None, math.inf)
+            assert blocks == [range(2, 34)]
+            curve = lambda block: [value] * len(block)
+            joint = minimize_over_orders(curve, [10, 100], 1e-8, 512)
+            assert joint == [(math.inf, None, math.inf)] * 2
+
+    def test_nan_orders_are_passed_over(self):
+        # np.fmin's rule: a NaN eps is no candidate, and the others still
+        # decide the minimum and its order.
+        p = SubsampledShuffleParams(n=10**6, k=1000, eps0=2.0)
+
+        def eps_fn(lam):
+            eps = rdp_upper(lam, p)
+            return np.where(np.asarray(lam) % 3 == 0, math.nan, eps)
+
+        want = minimize_over_orders(lambda lam: rdp_upper(lam, p), 10**5, 1e-8)
+        assert want[1] == 28
+        assert minimize_over_orders(eps_fn, 10**5, 1e-8) == want
+        assert minimize_over_orders(eps_fn, [10**5], 1e-8) == [want]
+
+    def test_first_of_equal_minima_wins_across_rounds(self):
+        # T = 1 and eps = X - dp_penalty + ((lambda - 59.5)^2 - 1/4) /
+        # (lambda - 1): the objective is X at orders 59 and 60 alone, and g
+        # is convex, so the convex floor holds.  Its search reads 60 in an
+        # earlier call than 59, and 59 wins all the same.
+        X, delta = 1000.0, 1e-8
+
+        def eps_fn(lam):
+            lam = np.asarray(lam, dtype=float)
+            penalty = np.array([dp_penalty(int(x), delta) for x in lam])
+            return (X - penalty) + ((lam - 59.5) ** 2 - 0.25) / (lam - 1.0)
+
+        assert [float(eps_fn([x])[0]) + dp_penalty(x, delta) for x in (59, 60)] == [X, X]
+        calls = []
         result = minimize_over_orders(
-            lambda block: blocks.append(block) or [math.inf] * len(block), 10, 1e-8, 512
+            lambda lam: calls.append(list(lam)) or eps_fn(lam), 1, delta, 100, convex_floor
         )
-        assert result == (math.inf, None, math.inf)
-        assert blocks == [range(2, 34)]
+        assert result == (X, 59, X)
+        first_read = {order: n for n, call in enumerate(calls) for order in call}
+        assert first_read[60] < first_read[59]
+
+    def test_result_shape_follows_T(self):
+        fn = lambda lam: rdp_upper(lam, SubsampledShuffleParams(n=10**4, k=100, eps0=1.0))
+        single = minimize_over_orders(fn, np.int64(1000), 1e-8, 64)
+        assert isinstance(single, tuple) and single == minimize_over_orders(fn, 1000, 1e-8, 64)
+        assert minimize_over_orders(fn, [1000], 1e-8, 64) == [single]
+
+    @pytest.mark.parametrize("lambda_max", [0, 1, MAX_ORDER + 1, 5000, 2.5])
+    def test_lambda_max_outside_the_orders_rejected(self, lambda_max):
+        with pytest.raises(ValueError, match=r"lambda_max must be an integer in \[2, MAX_ORDER"):
+            minimize_over_orders(lambda lam: np.zeros(len(lam)), 10, 1e-8, lambda_max)
+
+    @pytest.mark.parametrize("T", [-5, 0, 2.5, math.inf, math.nan, [10, 0], [-1]])
+    def test_round_counts_must_be_positive_integers(self, T):
+        with pytest.raises(ValueError, match="T must be a positive integer"):
+            minimize_over_orders(lambda lam: np.zeros(len(lam)), T, 1e-8, 64)
 
 
 class TestTotalPrivacy:

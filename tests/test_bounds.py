@@ -1,6 +1,10 @@
 """Tests for the closed-form RDP bounds and ternary divergence bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +384,59 @@ class TestSandwich:
             up = rdp_upper(lam, p)
             assert math.isfinite(lo) and math.isfinite(up)
             assert 0 <= lo <= up
+
+
+class TestBlockGridCache:
+    """A range of orders reads its ln C(lambda, j) grids from a small cache
+    of read-only arrays; any other sequence builds them.  Both give the same
+    values bit for bit, with the cache cold and warm."""
+
+    @staticmethod
+    def bits(values):
+        return [float(x).hex() for x in np.atleast_1d(values)]
+
+    @pytest.mark.parametrize(
+        "block", [range(40, 41), range(2, 17), range(30, 46), range(2, 34), range(2, 2049)]
+    )
+    def test_range_equals_array_and_single_orders(self, block):
+        p = params(10**6, 1000, 2.0)
+        singles = self.bits([rdp_upper(lam, p) for lam in block])
+        array = self.bits(rdp_upper(np.arange(block.start, block.stop), p))
+        bounds._block_log_binomials.cache_clear()
+        cold = self.bits(rdp_upper(block, p))
+        warm = self.bits(rdp_upper(block, p))
+        assert cold == warm == array == singles
+
+    def test_cached_grids_are_read_only(self):
+        rdp_upper(range(2, 34), params(10**6, 1000, 2.0))
+        grid = bounds._block_log_binomials(2, 34)
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+
+    def test_cache_holds_at_most_a_few_hundred_kb(self):
+        maxsize = bounds._block_log_binomials.cache_info().maxsize
+        assert maxsize is not None and maxsize * bounds._CHUNK_CELLS * 8 <= 400_000
+        # Every chunk a range is cut into fits in _CHUNK_CELLS cells.
+        for block in (range(2, 34), range(34, 300), range(2, 2049), range(4000, MAX_ORDER + 1)):
+            for at in bounds._order_chunks(len(block), 2 * (block[-1] - 1)):
+                orders = block[at]
+                grid = bounds._block_log_binomials(orders[0], orders[-1] + 1)
+                assert grid.size <= bounds._CHUNK_CELLS
+        assert bounds._block_log_binomials.cache_info().currsize <= maxsize
+
+    def test_cache_is_empty_after_import(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).resolve().parents[1]))
+        code = (
+            "import shuffle_rdp\n"
+            "from shuffle_rdp import bounds\n"
+            "print(bounds._block_log_binomials.cache_info().currsize)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
 
 class TestConcurrentTabulation:

@@ -13,6 +13,11 @@ Rows, each the median over every repeat, in milliseconds:
 * ``total_privacy`` per call over the points of the benchmark's query box
   (``perfbench/workloads.py``, seed 1, QUERY_POINTS points) whose argmin
   lies past order 33, where the order search reads past its first block;
+* the benchmark's ``query`` operation, ``total_privacy`` plus
+  ``baseline_total``, per point over all QUERY_POINTS of those points;
+* the headline's order search outside ``rdp_upper``: ``minimize_over_orders``
+  with the bound's values looked up, per call over a loop of BLOCK_CALLS
+  calls;
 * a ``compare`` shaped like the benchmark's ``sweep`` operation, called in
   process: ``--axis T --values 10000,100000,1000000 --lambda-max 2048`` at
   the headline point;
@@ -65,6 +70,7 @@ Python and numpy versions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -164,6 +170,16 @@ def _cases(srdp, cli, tmp: Path) -> dict:
     cases[f"total_privacy, query box, argmin past {DEEP_ORDER}"] = (
         lambda: [srdp.total_privacy(p, c) for p, c in deep], len(deep)
     )
+    points = _workload_points(srdp, "query", QUERY_POINTS)
+    cases["query op (total_privacy + baseline_total), query box"] = (
+        lambda: [
+            (srdp.total_privacy(p, c), srdp.baseline_total(p, c.T, c.delta)) for p, c in points
+        ],
+        len(points),
+    )
+    cases["minimize_over_orders, headline, outside rdp_upper"] = (
+        _search_alone(params, acct), BLOCK_CALLS
+    )
 
     def compare(argv):
         if cli.main([*argv, "--out", str(tmp / "compare")]) != 0:
@@ -189,6 +205,26 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             lambda k=k, calls=calls: [pmf(k, PMF_P) for _ in range(calls)], calls
         )
     return cases
+
+
+def _search_alone(params, acct):
+    """BLOCK_CALLS of total_privacy's order search, each order block's
+    rdp_upper values looked up from a first search."""
+    from shuffle_rdp import accountant
+
+    memo = {}
+
+    def eps_fn(lam):
+        key = lam if isinstance(lam, range) else tuple(np.asarray(lam).tolist())
+        if key not in memo:
+            memo[key] = accountant.rdp_upper(lam, params)
+        return memo[key]
+
+    floor = functools.partial(accountant.binomial_floor, params)
+    search = accountant.minimize_over_orders
+    return lambda: [
+        search(eps_fn, acct.T, acct.delta, acct.lambda_max, floor) for _ in range(BLOCK_CALLS)
+    ]
 
 
 def _uncached_pmf():

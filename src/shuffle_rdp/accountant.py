@@ -250,11 +250,12 @@ def binomial_floor(params: SubsampledShuffleParams, lams, g, i, lo, hi):
     """Lines below :func:`bounds.rdp_upper`'s g over the orders lo..hi of
     the gap right of a = lams[i].
 
-    That g is ln(1 + S), and S sums C(lambda, j) (x_j + y_j) over j >= 2
-    with x_j, y_j >= 0 (the ternary and Upsilon terms).  For lambda > a and
+    That g is ln(1 + S), and S sums C(lambda, j) c_j over j >= 2 with
+    c_j >= 0 (the sampling rate's j-th power times the ternary bound at
+    alpha = j).  For lambda > a and
     2 <= j <= a, C(lambda, j) / C(a, j) is at least C(lambda, 2) / C(a, 2),
     and S(a) has no terms past j = a, so S(lambda) >= S(a) C(lambda, 2) /
-    C(a, 2), which at a = 2 is C(lambda, 2) (x_2 + y_2) and only rises
+    C(a, 2), which at a = 2 is C(lambda, 2) c_2 and only rises
     with a.  So g is at least ln(1 + x), x = K lambda (lambda - 1),
     K = S(a) / (a (a - 1)), S(a) = e^{g(a)} - 1.  On lo..hi, ln(1 + x) lies
     above its chord in x from x(lo) to x(hi), and x above its tangent in

@@ -7,7 +7,8 @@ random permutation of the k reports.  This module evaluates:
 * ternary chi^alpha divergence bounds for the shuffle step, both the
   all-identical special case and the general mechanism;
 * the closed-form upper bound on the order-lambda Renyi divergence of the
-  subsampled shuffle mechanism, assembled from those ternary bounds;
+  subsampled shuffle mechanism, one sum over j of C(lambda, j) times the
+  sampling rate's j-th power times the ternary bound at alpha = j;
 * the matching lower bound, the exact divergence of the binary
   randomized-response instance, as a sum of nonnegative terms over the
   ones-count m = 0..k, for k up to LOWER_BOUND_MAX_K = 1e6.  Each order
@@ -24,12 +25,13 @@ sequence as one array expression over a (term x order) grid, in chunks of
 at most _CHUNK_CELLS cells.  Each order's terms are summed down its column
 in sequence, so a value does not depend on which other orders are asked
 for with it.  The upper bound's ln C(lambda, j) grid of a chunk depends on
-its orders alone, and for a range of orders it is read from a small cache
-that fills on first use.  Orders are restricted to integers lambda >= 2,
-exactly as the closed forms are stated, and at most MAX_ORDER.  At eps0 = 0 every
-quantity here is identically zero.  Every closed form evaluates e^{eps0}, so
-eps0 must lie in [0, EPS0_MAX], where EPS0_MAX = ln(largest double) ~ 709.78
-is the largest eps0 whose e^{eps0} is a finite double.
+its orders alone, and for a range of orders that is one chunk it is read
+from a small cache that fills on first use.  Orders are restricted to
+integers lambda >= 2, exactly as the closed forms are stated, and at most
+MAX_ORDER.  At eps0 = 0 every quantity here is identically zero.  Every
+closed form evaluates e^{eps0}, so eps0 must lie in [0, EPS0_MAX], where
+EPS0_MAX = ln(largest double) ~ 709.78 is the largest eps0 whose e^{eps0}
+is a finite double.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from .logspace import binom_log_pmf, log_expm1
 
 #: Largest k the lower bound accepts.  Setting up one mechanism briefly
 #: holds about ten arrays of k + 1 doubles (8 MB each at this k), and a
-#: `compare` over orders up to 2048 at this k takes about a second.
+#: `compare` over orders up to 2048 at this k takes about 0.2 s on a 2-vCPU
+#: host.
 LOWER_BOUND_MAX_K = 1_000_000
 
 #: Largest eps0 whose e^{eps0} is a finite double.
@@ -57,7 +60,7 @@ EPS0_MAX = math.log(sys.float_info.max)
 
 #: Largest order accepted: the largest whose accuracy the tests pin against
 #: 60-digit references.  It bounds one column of the upper bound's grid to
-#: 2 MAX_ORDER cells.
+#: MAX_ORDER - 1 cells.
 MAX_ORDER = 4096
 
 # Cells per temporary grid: 96 KB stays under malloc's
@@ -68,17 +71,13 @@ MAX_ORDER = 4096
 _CHUNK_CELLS = 3 * 2**12
 
 # A grid of at least this many orders is summed by one reduce, vectorized
-# across the orders (see _column_sums), and the upper bound stores it
-# C-ordered, one row per term, for that.  A narrower chunk of the upper
-# bound is stored F-ordered, one contiguous column per order, so that
-# numpy's elementwise loops run down the columns, not along rows of a few
-# cells.  The lower bound stores every grid F-ordered, built as (order x m)
-# rows: its ten or so elementwise passes per sum outweigh the sum even at
-# 32 orders.
+# across the orders (see _column_sums).  The lower bound stores every grid
+# F-ordered, built as (order x m) rows: its ten or so elementwise passes
+# per sum outweigh the sum even at 32 orders.
 _WIDE_CHUNK = 16
 
-# The upper bound's ln C(lambda, j) grids kept for chunks that are ranges
-# of orders; at most _CHUNK_CELLS cells each, so 4 hold at most 384 KB.
+# The upper bound's ln C(lambda, j) grids kept for ranges of orders that
+# are one chunk; at most _CHUNK_CELLS cells each, so 4 hold at most 384 KB.
 _BLOCK_GRIDS = 4
 
 #: Relative allowance for the rounding of a computed g(lambda) = (lambda - 1)
@@ -300,10 +299,11 @@ def _column_sums(cells: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(cells), axis=0)
 
 
-def _upper_log_terms(params: SubsampledShuffleParams, n_j: int):
-    """(ternary, upsilon): the logs of the j-th ternary and Upsilon terms of
-    :func:`rdp_upper`'s S without their C(lambda, j), for j = 2..n_j + 1;
-    eps0 > 0 and k >= 2."""
+def _upper_log_coefficients(params: SubsampledShuffleParams, n_j: int) -> np.ndarray:
+    """ln c_j = j ln gamma + ln zeta_j for j = 2..n_j + 1, the log of
+    :func:`rdp_upper`'s j-th term without its C(lambda, j); eps0 > 0 and
+    k >= 2.  zeta_j (:func:`zeta_shuffle`) adds the concentration tail to
+    the ternary bound at kbar, so ln c_j is the logaddexp of the two."""
     eps0, k = params.eps0, params.k
     kb = kbar(k, eps0)
     log_gamma_s = math.log(params.gamma)
@@ -311,8 +311,8 @@ def _upper_log_terms(params: SubsampledShuffleParams, n_j: int):
     log_base = math.log(2.0) + 2.0 * log_expm1(2.0 * eps0) - math.log(kb) - 2.0 * eps0
     ternary = j * log_gamma_s + _LOG_J[:n_j] + _LOG_GAMMA_HALF_J[:n_j] + (j / 2.0) * log_base
     ternary[0] = math.log(4.0) + 2.0 * log_gamma_s + 2.0 * log_expm1(eps0) - math.log(kb) - eps0
-    upsilon = j * (log_gamma_s + _log_2sinh(eps0)) - (k - 1) / (8.0 * math.exp(eps0))
-    return ternary, upsilon
+    tail = j * (log_gamma_s + _log_2sinh(eps0)) - (k - 1) / (8.0 * math.exp(eps0))
+    return np.logaddexp(ternary, tail, out=ternary)
 
 
 def rdp_upper_term_lines(params: SubsampledShuffleParams, lo: int, hi: int):
@@ -327,7 +327,7 @@ def rdp_upper_term_lines(params: SubsampledShuffleParams, lo: int, hi: int):
     lo, and at hi, and are yielded in that order.  Each is lowered by G_TOL
     relative for rounding.
     """
-    log_c = np.logaddexp(*_upper_log_terms(params, lo - 1))  # ln c_j, j = 2..lo
+    log_c = _upper_log_coefficients(params, lo - 1)  # ln c_j, j = 2..lo
     fact = _LOG_FACTORIAL[MAX_ORDER:]  # ln i!
     term = log_c - fact[2:lo + 1]  # ln c_j - ln j!, j = 2..lo
     for at in (lo, hi):
@@ -344,17 +344,17 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
     a float or an array to match.  A value does not depend on which other
     orders are asked for with it.
 
-    (1/(lambda-1)) ln(1 + S) where S collects, in log space:
-      * the pair term 4 C(lambda,2) gamma^2 (e^{eps0}-1)^2 / (kbar e^{eps0}),
-      * the j = 3..lambda ternary terms
-        C(lambda,j) gamma^j j Gamma(j/2) (2 (e^{2 eps0}-1)^2 / (kbar e^{2 eps0}))^{j/2},
-      * the concentration remainder
-        Upsilon = ((1 + A)^lambda - 1 - lambda A) e^{-(k-1)/(8 e^{eps0})} with
-        A = gamma (e^{2 eps0}-1)/e^{eps0}, expanded binomially so it stays in
-        log space even when (1 + A)^lambda overflows.
-    Each order is one column of a (j x order) grid of these log terms: the
-    ln C(lambda, j) grid (:func:`_log_binomials`, cached for a range of
-    orders) plus each term's log without it.
+    (1/(lambda-1)) ln(1 + S), S = sum_{j=2}^{lambda} C(lambda, j) c_j with
+    c_j = gamma^j zeta_j and zeta_j = zeta_shuffle(j, k, eps0): the ternary
+    bound at kbar, 4 (e^{eps0}-1)^2 / (kbar e^{eps0}) at j = 2 and
+    j Gamma(j/2) (2 (e^{2 eps0}-1)^2 / (kbar e^{2 eps0}))^{j/2} past it,
+    plus the concentration tail (2 sinh eps0)^j e^{-(k-1)/(8 e^{eps0})}.
+    Summed over j, the tails make Upsilon = ((1 + A)^lambda - 1 - lambda A)
+    e^{-(k-1)/(8 e^{eps0})}, A = 2 gamma sinh eps0; term by term S stays in
+    log space even when (1 + A)^lambda overflows.  Each order is one column
+    of a (j x order) grid of log terms: the ln C(lambda, j) grid
+    (:func:`_log_binomials`, cached for a range of orders that is one
+    chunk) plus ln c_j (:func:`_upper_log_coefficients`).
     """
     lams = _orders(lam)
     if params.k < 2:
@@ -364,15 +364,13 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
     if eps0 == 0.0 or not lams.size:
         return _shaped(out, lam)
     n_j = int(lams.max()) - 1
-    ternary, upsilon = _upper_log_terms(params, n_j)
+    log_c = _upper_log_coefficients(params, n_j)[:, None]
     orders = lams.astype(np.intp)
-    block = isinstance(lam, range) and lam.step == 1
-    for at in _order_chunks(lams.size, 2 * n_j):
+    cached = isinstance(lam, range) and lam.step == 1 and lams.size * n_j <= _CHUNK_CELLS
+    for at in _order_chunks(lams.size, n_j):
         o = orders[at]
-        grid = _block_log_binomials(int(o[0]), int(o[-1]) + 1) if block else _log_binomials(o)
-        height = grid.shape[0] // 2
-        terms = np.concatenate((ternary[:height], upsilon[:height]))[:, None]
-        cells = np.add(grid, terms, out=np.empty_like(grid))
+        grid = _block_log_binomials(int(o[0]), int(o[-1]) + 1) if cached else _log_binomials(o)
+        cells = grid + log_c[:grid.shape[0]]
         top = cells.max(axis=0)
         cells -= top
         log_sum = top + np.log(_column_sums(np.exp(cells, out=cells)))
@@ -382,15 +380,11 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
 
 def _log_binomials(orders: np.ndarray) -> np.ndarray:
     """ln C(lambda, j) for j = 2..max(orders) (rows) and lambda in
-    ``orders`` (columns), -inf where j > lambda, stacked twice: the grid
-    that :func:`rdp_upper` adds the ternary and then the Upsilon terms to.
-    C-ordered from _WIDE_CHUNK orders, else F-ordered (see _WIDE_CHUNK)."""
+    ``orders`` (columns), -inf where j > lambda, C-ordered: the grid that
+    :func:`rdp_upper` adds ln c_j to, row by row."""
     height = int(orders.max()) - 1
-    grid = np.empty((2 * height, orders.size), order="C" if orders.size >= _WIDE_CHUNK else "F")
-    binom = grid[:height]
-    np.subtract(_LOG_FACTORIAL[MAX_ORDER + orders], _LOG_FACTORIAL_J[:height], out=binom)
-    binom -= _LOG_FACTORIAL_DOWN[:height, MAX_ORDER + 2 - orders]
-    grid[height:] = binom
+    grid = np.subtract(_LOG_FACTORIAL[MAX_ORDER + orders], _LOG_FACTORIAL_J[:height])
+    grid -= _LOG_FACTORIAL_DOWN[:height, MAX_ORDER + 2 - orders]
     return grid
 
 

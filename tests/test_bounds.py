@@ -215,6 +215,24 @@ class TestRdpUpper:
         direct = math.log1p(s) / (lam - 1)
         assert rdp_upper(lam, params(n, k, eps0)) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "n, k, eps0, finite",
+        [(10**6, 1000, 2.0, 63), (10**4, 10, 0.5, 63), (2, 2, 60.0, 10)],
+    )
+    def test_coefficients_are_the_ternary_bound(self, n, k, eps0, finite):
+        # ln c_j = j ln gamma + ln zeta_j, the paper's sum term by term;
+        # (1e4, 10, 0.5) is dominated by the concentration tail.
+        p = params(n, k, eps0)
+        log_c = bounds._upper_log_coefficients(p, 63)
+        checked = 0
+        for j in range(2, 65):
+            zeta = zeta_shuffle(j, k, eps0).value
+            if math.isfinite(zeta):
+                want = j * math.log(p.gamma) + math.log(zeta)
+                assert log_c[j - 2] == pytest.approx(want, rel=0.0, abs=1e-12)
+                checked += 1
+        assert checked == finite
+
     def test_tiny_eps0(self):
         # Below eps0 ~ 1e-16, e^{-2 eps0} rounds to 1; ln(e^eps0 - e^-eps0) must not fail.
         p = params(10**4, 100, 1e-20)
@@ -346,7 +364,7 @@ class TestOneOrderEqualsBlock:
             [2046, 2047, 2048],
             [2048, 30, 2],
             [MAX_ORDER, MAX_ORDER - 1, 2],
-            list(range(350, 385)),  # chunks of 16, 16 and 3 orders
+            list(range(350, 385)),  # chunks of 32 and 3 orders
         ],
     )
     def test_upper_at_tall_columns(self, block):
@@ -387,9 +405,10 @@ class TestSandwich:
 
 
 class TestBlockGridCache:
-    """A range of orders reads its ln C(lambda, j) grids from a small cache
-    of read-only arrays; any other sequence builds them.  Both give the same
-    values bit for bit, with the cache cold and warm."""
+    """A range of orders that is one chunk reads its ln C(lambda, j) grid
+    from a small cache of read-only arrays; any other sequence builds its
+    grids.  Both give the same values bit for bit, with the cache cold and
+    warm."""
 
     @staticmethod
     def bits(values):
@@ -419,11 +438,25 @@ class TestBlockGridCache:
         assert maxsize is not None and maxsize * bounds._CHUNK_CELLS * 8 <= 400_000
         # Every chunk a range is cut into fits in _CHUNK_CELLS cells.
         for block in (range(2, 34), range(34, 300), range(2, 2049), range(4000, MAX_ORDER + 1)):
-            for at in bounds._order_chunks(len(block), 2 * (block[-1] - 1)):
+            for at in bounds._order_chunks(len(block), block[-1] - 1):
                 orders = block[at]
                 grid = bounds._block_log_binomials(orders[0], orders[-1] + 1)
                 assert grid.size <= bounds._CHUNK_CELLS
         assert bounds._block_log_binomials.cache_info().currsize <= maxsize
+
+    def test_long_range_leaves_the_cache_alone(self):
+        # A range of many chunks builds its grids uncached, so it neither
+        # fills the cache nor evicts the order search's first block.
+        p = params(10**6, 1000, 2.0)
+        info = bounds._block_log_binomials.cache_info
+        bounds._block_log_binomials.cache_clear()
+        rdp_upper(range(2, 34), p)
+        before = info()
+        rdp_upper(range(2, 2049), p)
+        after = info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+        rdp_upper(range(2, 34), p)
+        assert info().hits == after.hits + 1
 
     def test_cache_is_empty_after_import(self):
         env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).resolve().parents[1]))

@@ -27,10 +27,11 @@ Rows, each the median over every repeat, in milliseconds:
 * the same ``compare`` at the lower bound's ceiling k = 1e6, n = 1e9,
   cold: the lower bound's per-mechanism caches are cleared before each
   run, as the set-up is most of it;
-* ``rdp_upper`` over orders 2..33 and 34..65 at the headline point, the
-  first two full blocks an order scan can ask for, per call over a loop
-  of BLOCK_CALLS calls, and over orders 2..2048 in one call, whose chunks
-  hold a few tall columns each;
+* ``rdp_upper`` at the headline point, per call over a loop of calls:
+  orders 2..33 and 34..65, the first two full blocks an order scan can
+  ask for (BLOCK_CALLS calls each), orders 400..499, the block the
+  search reads from order 400 (DEEP_CALLS calls), and orders 4000..4096,
+  the deepest block (one call); and over orders 2..2048 in one call;
 * ``logspace.binom_log_pmf`` at eps0 = 2, uncached, for k = 1e3 (per call
   over a loop of BLOCK_CALLS calls) and k = 1e6, the lower bound's
   per-mechanism set-up;
@@ -41,12 +42,12 @@ Rows, each the median over every repeat, in milliseconds:
 
 Rows in counts, not times:
 
-* the calls, the orders and the upper bound's cells (per chunk, its
-  columns times both halves of its (term x order) grid) that
-  ``total_privacy``'s order search evaluates per query, averaged over
-  QUERY_POINTS points of the benchmark's query box (seed 1), and over
-  SGD_POINTS points of its ``sgd`` box (n = 1000, k = 100, eps0 in
-  [1.5, 2.5], T in [25, 100], delta = 1e-8 as ``SgdConfig``'s default);
+* the calls, the orders and the upper bound's cells (the size of every
+  (term x order) grid it sums) that ``total_privacy``'s order search
+  evaluates per query, averaged over QUERY_POINTS points of the
+  benchmark's query box (seed 1), and over SGD_POINTS points of its
+  ``sgd`` box (n = 1000, k = 100, eps0 in [1.5, 2.5], T in [25, 100],
+  delta = 1e-8 as ``SgdConfig``'s default);
 * the calls and the orders that each bound computes in the two
   ``compare`` runs above.
 
@@ -101,8 +102,12 @@ CEILING_ARGV = [
     "--eps0", "2", "--k", "1000000", "--n", "1000000000", "--delta", "1e-8",
 ]
 LOWER_KS = (10**3, 10**4)
-UPPER_BLOCKS = (range(2, 34), range(34, 66))
 BLOCK_CALLS = 200  # a block or a headline query takes 0.1-0.3 ms: time a loop of calls
+DEEP_CALLS = 20  # orders 400..499 take about 1 ms
+UPPER_BLOCKS = {
+    range(2, 34): BLOCK_CALLS, range(34, 66): BLOCK_CALLS, range(400, 500): DEEP_CALLS,
+    range(4000, 4097): 1,
+}
 QUERY_POINTS = 3000
 SGD_POINTS = 300
 DEEP_ORDER = 33  # the last order of the search's first block
@@ -193,9 +198,9 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             lambda p=p: srdp.rdp_lower(orders, p), 1
         )
     cases[COLD_ROW] = (lambda: compare(CEILING_ARGV), 1)
-    for block in UPPER_BLOCKS:
+    for block, calls in UPPER_BLOCKS.items():
         cases[f"rdp_upper, orders {block[0]}..{block[-1]}, headline"] = (
-            lambda b=block: [srdp.rdp_upper(b, params) for _ in range(BLOCK_CALLS)], BLOCK_CALLS
+            lambda b=block, calls=calls: [srdp.rdp_upper(b, params) for _ in range(calls)], calls
         )
     cases["rdp_upper, orders 2..2048, headline"] = (lambda: srdp.rdp_upper(orders, params), 1)
     pmf = _uncached_pmf()
@@ -246,29 +251,30 @@ def _pmf_peak_mb() -> float:
 
 def _search_counts(srdp, label: str, points: list) -> dict:
     """Calls, orders and upper-bound cells that total_privacy evaluates per
-    query, over the (params, AccountantConfig) points."""
+    query, over the (params, AccountantConfig) points.  The cells are those
+    of every grid the upper bound passes to bounds._column_sums."""
     from shuffle_rdp import accountant, bounds
 
     calls = orders = cells = 0
-    rdp_upper = accountant.rdp_upper
-    # Older trees name the chunk helper _row_chunks.
-    chunks = getattr(bounds, "_order_chunks", None) or bounds._row_chunks
+    rdp_upper, column_sums = accountant.rdp_upper, bounds._column_sums
 
     def counted(lam, params):
-        nonlocal calls, orders, cells
-        lams = np.atleast_1d(np.asarray(lam))
+        nonlocal calls, orders
         calls += 1
-        orders += lams.size
-        for at in chunks(lams.size, 2 * (int(lams.max()) - 1)):
-            cells += 2 * lams[at].size * (int(lams[at].max()) - 1)
+        orders += np.atleast_1d(np.asarray(lam)).size
         return rdp_upper(lam, params)
 
-    accountant.rdp_upper = counted
+    def summed(grid):
+        nonlocal cells
+        cells += grid.size
+        return column_sums(grid)
+
+    accountant.rdp_upper, bounds._column_sums = counted, summed
     try:
         for params, cfg in points:
             srdp.total_privacy(params, cfg)
     finally:
-        accountant.rdp_upper = rdp_upper
+        accountant.rdp_upper, bounds._column_sums = rdp_upper, column_sums
     return {
         f"total_privacy, calls per query, {label}": calls / len(points),
         f"total_privacy, orders per query, {label}": orders / len(points),

@@ -17,9 +17,9 @@ a stretch whose floor lies above the best objective read so far cannot
 hold the minimum.
 
 :class:`AccountantConfig`, :func:`compose` and :func:`minimize_over_orders`
-share their argument checks and raise ValueError with one wording: every
-round count T a positive integer, 0 < delta < 1, and lambda_max an
-integer in [2, MAX_ORDER].
+check their arguments with the package's shared checks and raise
+ValueError with one wording: every round count T a positive integer,
+0 < delta < 1, and lambda_max an integer in [2, MAX_ORDER].
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .bounds import (
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
+    check_delta,
+    check_int,
     rdp_upper,
     rdp_upper_term_lines,
 )
@@ -91,8 +93,7 @@ class DpGuarantee:
     def __post_init__(self):
         if not self.eps >= 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -104,37 +105,22 @@ class AccountantConfig:
     lambda_max: int = DEFAULT_LAMBDA_MAX
 
     def __post_init__(self):
-        _check_rounds(self.T)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        _check_lambda_max(self.lambda_max)
-
-
-def _check_rounds(T) -> None:
-    if not 1 <= T < math.inf or T != int(T):
-        raise ValueError(f"T must be a positive integer, got {T}")
-
-
-def _check_lambda_max(lambda_max) -> None:
-    if not 2 <= lambda_max <= MAX_ORDER or lambda_max != int(lambda_max):
-        raise ValueError(
-            f"lambda_max must be an integer in [2, MAX_ORDER = {MAX_ORDER}], got {lambda_max}"
-        )
+        check_int("T", self.T, 1)
+        check_delta(self.delta)
+        check_int("lambda_max", self.lambda_max, 2, MAX_ORDER)
 
 
 def compose(curve: RdpCurve, T: int) -> RdpCurve:
     """Entry-wise T-fold composition: (lambda, eps) -> (lambda, T eps)."""
-    _check_rounds(T)
+    check_int("T", T, 1)
     entries = tuple((lam, T * eps) for lam, eps in curve.entries)
-    return RdpCurve(entries=entries, kind=curve.kind, params=curve.params)
+    return RdpCurve(entries=entries, kind=curve.kind)
 
 
 def dp_penalty(lam: int, delta: float) -> float:
     """Order-lambda conversion penalty added to eps(lambda)."""
-    if lam < 2:
-        raise ValueError(f"order must be >= 2, got {lam}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_int("lam", lam, 2)
+    check_delta(delta)
     # -ln(delta), not ln(1/delta): 1/delta overflows below 1/DBL_MAX.
     return (
         -math.log(delta) + (lam - 1) * math.log1p(-1.0 / lam) - math.log(lam)
@@ -383,12 +369,11 @@ def minimize_over_orders(
     0 < delta < 1, ``lambda_max`` is an integer in [2, MAX_ORDER] and every
     round count is a positive integer.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    _check_lambda_max(lambda_max)
+    check_delta(delta)
+    check_int("lambda_max", lambda_max, 2, MAX_ORDER)
     many = not isinstance(T, (int, float)) and np.ndim(T) > 0  # np.ndim is slow on a number
     for t in T if many else (T,):
-        _check_rounds(t)
+        check_int("T", t, 1)
     T_list = [float(t) for t in T] if many else [float(T)]
     Ts = np.array(T_list)
     neg_log_delta = -math.log(delta)

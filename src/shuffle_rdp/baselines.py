@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .accountant import DpGuarantee, Provenance
-from .bounds import SubsampledShuffleParams, check_eps0
+from .bounds import SubsampledShuffleParams, check_delta, check_eps0, check_int
 
 
 @dataclass(frozen=True)
@@ -42,19 +42,15 @@ class ApproxDp:
 
 def clones_condition_ok(eps0: float, n_eff: int, delta: float) -> bool:
     """eps0 <= ln(n_eff / (16 ln(2/delta))) -- validity of the clones bound."""
-    if n_eff < 1:
-        raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_int("n_eff", n_eff, 1)
+    check_delta(delta)
     return eps0 <= math.log(n_eff / (16.0 * (math.log(2.0) - math.log(delta))))
 
 
 def blanket_condition_ok(eps0: float, n_eff: int, delta: float) -> bool:
     """eps0 <= (1/2) ln(n_eff / ln(1/delta)) -- validity of the blanket bound."""
-    if n_eff < 1:
-        raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_int("n_eff", n_eff, 1)
+    check_delta(delta)
     return eps0 <= 0.5 * math.log(n_eff / -math.log(delta))
 
 
@@ -66,10 +62,8 @@ def clones_closed_form(eps0: float, n: int, delta: float) -> float:
 
     Callers must gate this by clones_condition_ok; see shuffle_amplify.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_int("n", n, 1)
+    check_delta(delta)
     bracket = 4.0 * math.sqrt(
         2.0 * (math.log(4.0) - math.log(delta)) / ((math.exp(eps0) + 1.0) * n)
     ) + 4.0 / n
@@ -83,8 +77,7 @@ def shuffle_amplify(eps0: float, k: int, delta: float) -> ApproxDp:
     condition holds (clamped at eps0, since amplification cannot hurt) and
     the degenerate (eps0, 0) otherwise.
     """
-    if k < 2 or k != int(k):
-        raise ValueError(f"k must be an integer >= 2, got {k}")
+    check_int("k", k, 2)
     check_eps0(eps0)
     if eps0 == 0.0:
         return ApproxDp(eps=0.0, delta=delta)
@@ -112,10 +105,8 @@ def strong_compose(g: ApproxDp, T: int, delta_slack: float) -> ApproxDp:
     delta_total = T delta + delta_slack.  T = 1 returns the dominating
     basic bound (the sqrt form is not a valid single-round bound).
     """
-    if T < 1 or T != int(T):
-        raise ValueError(f"T must be a positive integer, got {T}")
-    if not 0.0 < delta_slack < 1.0:
-        raise ValueError(f"delta_slack must lie in (0, 1), got {delta_slack}")
+    check_int("T", T, 1)
+    check_delta(delta_slack, "delta_slack")
     eps = g.eps
     delta_total = T * g.delta + delta_slack
     if T == 1:
@@ -136,10 +127,8 @@ def baseline_total(params: SubsampledShuffleParams, T: int, delta: float) -> DpG
     degenerate fallback still flows through the two downstream steps; the
     flag on the result records that the shuffle step was not amplified.
     """
-    if T < 1 or T != int(T):
-        raise ValueError(f"T must be a positive integer, got {T}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_int("T", T, 1)
+    check_delta(delta)
     share = delta / 2.0 / T
     if share == 0.0:
         raise ValueError(

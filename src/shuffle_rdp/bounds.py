@@ -32,6 +32,11 @@ MAX_ORDER.  At eps0 = 0 every quantity here is identically zero.  Every
 closed form evaluates e^{eps0}, so eps0 must lie in [0, EPS0_MAX], where
 EPS0_MAX = ln(largest double) ~ 709.78 is the largest eps0 whose e^{eps0}
 is a finite double.
+
+The package checks its scalar arguments here: :func:`check_eps0`,
+:func:`check_int` for every count and order (n, k, T, lambda, ...), which
+must be a finite integer in its range, and :func:`check_delta` for every
+delta in (0, 1).  Each raises ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -126,6 +131,28 @@ def check_eps0(eps0: float) -> float:
     return eps0
 
 
+def check_int(name: str, value, lo, hi=math.inf):
+    """Return value if it is an integer in [lo, hi]; raise ValueError naming
+    ``name`` otherwise.  The value may be any number type with an integral
+    value (10, 10.0, np.int64(10)); inf and NaN fail, as x % 1 is NaN for
+    both.  An upper end of MAX_ORDER is named as such."""
+    if not (lo <= value <= hi and value % 1 == 0):
+        if hi == math.inf:
+            what = "a positive integer" if lo == 1 else f"an integer >= {lo}"
+        else:
+            what = f"an integer in [{lo}, {'MAX_ORDER = ' if hi == MAX_ORDER else ''}{hi}]"
+        raise ValueError(f"{name} must be {what}, got {value}")
+    return value
+
+
+def check_delta(value: float, name: str = "delta") -> float:
+    """Return value if it lies in the open interval (0, 1); raise ValueError
+    naming ``name`` otherwise (NaN fails too)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SubsampledShuffleParams:
     """Mechanism instance: n clients total, k sampled, eps0-LDP randomizer."""
@@ -135,10 +162,8 @@ class SubsampledShuffleParams:
     eps0: float
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.k != int(self.k):
-            raise ValueError("n and k must be integers")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"require 1 <= k <= n, got k={self.k}, n={self.n}")
+        check_int("k", self.k, 1)
+        check_int("n", self.n, self.k)
         check_eps0(self.eps0)
 
     @property
@@ -155,21 +180,15 @@ class CurveKind(Enum):
 
 @dataclass(frozen=True)
 class RdpCurve:
-    """Tabulated eps(lambda) over strictly increasing integer orders >= 2.
-
-    ``params`` may be None for curves loaded from files, where the
-    generating mechanism is unknown.
-    """
+    """Tabulated eps(lambda) over strictly increasing integer orders >= 2."""
 
     entries: tuple[tuple[int, float], ...]
     kind: CurveKind
-    params: Optional[SubsampledShuffleParams] = None
 
     def __post_init__(self):
         prev = 1
         for lam, eps in self.entries:
-            if lam != int(lam) or lam < 2:
-                raise ValueError(f"orders must be integers >= 2, got {lam}")
+            check_int("order", lam, 2)
             if lam <= prev:
                 raise ValueError("orders must be strictly increasing")
             if not (math.isfinite(eps) and eps >= 0):
@@ -185,15 +204,14 @@ class ZetaBound:
     value: float
 
     def __post_init__(self):
-        if self.alpha < 2 or self.alpha != int(self.alpha):
-            raise ValueError(f"alpha must be an integer >= 2, got {self.alpha}")
+        check_int("alpha", self.alpha, 2)
         if not self.value >= 0:
             raise ValueError(f"value must be >= 0, got {self.value}")
 
 
 def kbar(k: int, eps0: float) -> int:
     """floor((k - 1) / (2 e^{eps0})) + 1 -- the effective cohort size."""
-    return math.floor((k - 1) / (2.0 * math.exp(eps0))) + 1
+    return math.floor((k - 1) / (2.0 * math.exp(check_eps0(eps0)))) + 1
 
 
 def _log_2sinh(eps0: float) -> float:
@@ -208,10 +226,8 @@ def _exp_or_inf(log_x: float) -> float:
 
 def log_zeta_special(alpha: int, m: int, eps0: float) -> float:
     """ln of the special-case ternary bound; -inf at eps0 = 0."""
-    if alpha < 2 or alpha != int(alpha):
-        raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
-    if m < 1 or m != int(m):
-        raise ValueError(f"m must be a positive integer, got {m}")
+    check_int("alpha", alpha, 2)
+    check_int("m", m, 1)
     check_eps0(eps0)
     if eps0 == 0.0:
         return -math.inf
@@ -241,10 +257,8 @@ def zeta_shuffle(alpha: int, k: int, eps0: float) -> ZetaBound:
     The special-case bound at the effective cohort size kbar, plus the
     binomial-concentration tail (e^{eps0}-e^{-eps0})^alpha e^{-(k-1)/(8 e^{eps0})}.
     """
-    if k < 2 or k != int(k):
-        raise ValueError(f"k must be an integer >= 2, got {k}")
-    if alpha < 2 or alpha != int(alpha):
-        raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
+    check_int("k", k, 2)
+    check_int("alpha", alpha, 2)
     check_eps0(eps0)
     if eps0 == 0.0:
         return ZetaBound(alpha=int(alpha), value=0.0)
@@ -602,7 +616,7 @@ def rdp_upper_curve(
     """Tabulate the upper bound over the given orders."""
     lambdas = list(lambdas)
     entries = tuple(zip(map(int, lambdas), rdp_upper(lambdas, params).tolist()))
-    return RdpCurve(entries=entries, kind=CurveKind.UPPER_BOUND, params=params)
+    return RdpCurve(entries=entries, kind=CurveKind.UPPER_BOUND)
 
 
 def rdp_lower_curve(
@@ -611,4 +625,4 @@ def rdp_lower_curve(
     """Tabulate the lower bound over the given orders."""
     lambdas = list(lambdas)
     entries = tuple(zip(map(int, lambdas), rdp_lower(lambdas, params).tolist()))
-    return RdpCurve(entries=entries, kind=CurveKind.LOWER_BOUND, params=params)
+    return RdpCurve(entries=entries, kind=CurveKind.LOWER_BOUND)

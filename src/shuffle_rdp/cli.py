@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -44,6 +45,7 @@ from .bounds import (
     CurveKind,
     RdpCurve,
     SubsampledShuffleParams,
+    check_int,
     rdp_lower,
     rdp_upper,
 )
@@ -195,19 +197,13 @@ def _parse_values(raw: str, kind, flag: str) -> list:
     return vals
 
 
-def _check_order(lam: int, flag: str) -> None:
-    """Orders lie in [2, MAX_ORDER]; checked before a range of them is built."""
-    if not 2 <= lam <= MAX_ORDER:
-        raise ValueError(f"{flag} must lie in [2, MAX_ORDER = {MAX_ORDER}], got {lam}")
-
-
 def _log_range(start: float, stop: float, points: int, kind) -> list:
     if not 1 <= points <= _LOG_RANGE_MAX_POINTS:
         raise ValueError(
             f"--log-range POINTS must lie in [1, {_LOG_RANGE_MAX_POINTS}], got {points}"
         )
-    if start <= 0 or stop < start:
-        raise ValueError("--log-range requires 0 < START <= STOP")
+    if not 0 < start <= stop < math.inf:
+        raise ValueError(f"--log-range requires 0 < START <= STOP < inf, got {start}, {stop}")
     if points == 1:
         grid = [start]
     else:
@@ -234,7 +230,7 @@ def _read_curve(path: str, kind: CurveKind) -> RdpCurve:
         entries.append((_to_int(float(parts[0]), "curve order"), float(parts[1])))
     if not entries:
         raise ValueError(f"curve file {path} holds no entries")
-    return RdpCurve(entries=tuple(entries), kind=kind, params=None)
+    return RdpCurve(entries=tuple(entries), kind=kind)
 
 
 # ----------------------------------------------------------------------
@@ -246,13 +242,13 @@ def cmd_bound(v) -> int:
     params = SubsampledShuffleParams(n=v.n, k=v.k, eps0=v.eps0)
     if v.lambdas:
         lambdas = _parse_values(v.lambdas, _to_int, "--lambdas")
-        _check_order(lambdas[0], "--lambdas")
-        _check_order(lambdas[-1], "--lambdas")
+        check_int("--lambdas", lambdas[0], 2, MAX_ORDER)
+        check_int("--lambdas", lambdas[-1], 2, MAX_ORDER)
     elif v.lambda_max is None:
         raise ValueError("provide --lambdas or --lambda-max")
-    else:
-        _check_order(v.lambda_min, "--lambda-min")
-        _check_order(v.lambda_max, "--lambda-max")
+    else:  # checked before a range of orders is built
+        check_int("--lambda-min", v.lambda_min, 2, MAX_ORDER)
+        check_int("--lambda-max", v.lambda_max, 2, MAX_ORDER)
         lambdas = list(range(v.lambda_min, v.lambda_max + 1))
     if not lambdas:
         raise ValueError("empty order range")

@@ -3,37 +3,14 @@
 Every bound in this package multiplies binomial coefficients as large as
 C(4096, 2048) by Gamma factors and tiny sampling powers.  To keep those
 products finite, the kernels build them as logs: the log of e^x - 1, a
-logsumexp, and the log pmf of a binomial.  ``SignedLog`` stores a real
-number as a sign and the log of its magnitude.
+logsumexp, and the log pmf of a binomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A real number stored as a sign (-1, 0 or +1) and the log of its
-    magnitude, which is ``-inf`` exactly when the value is zero."""
-
-    sign: int
-    log_mag: float
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if (self.sign == 0) != (self.log_mag == -math.inf):
-            raise ValueError("sign == 0 iff log_mag == -inf")
-
-    def to_real(self) -> float:
-        return self.sign * math.exp(self.log_mag) if self.sign else 0.0
-
-
-ZERO = SignedLog(0, -math.inf)
 
 
 def log_expm1(x: float) -> float:

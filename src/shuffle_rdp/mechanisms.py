@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import check_eps0
+from .bounds import check_eps0, check_int
 
 
 def clip_batch(X: np.ndarray, C: float) -> np.ndarray:
@@ -49,8 +49,7 @@ class VecMech:
         check_eps0(self.eps0)
         if self.eps0 == 0.0:
             raise ValueError("eps0 must be positive (the variance bound diverges at eps0 = 0)")
-        if self.d < 1 or self.d != int(self.d):
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
+        check_int("d", self.d, 1)
         if not self.C > 0:
             raise ValueError(f"radius must be positive, got {self.C}")
         if not math.isfinite(self.scale * self.scale):  # a product overflows; scale**2 raises

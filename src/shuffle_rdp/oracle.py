@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, check_eps0
+from .bounds import CurveKind, RdpCurve, SubsampledShuffleParams, check_eps0, check_int
 from .bounds import _LOG_SUM_SWITCH, _rr2_ratio_minus_one
 from .logspace import binom_log_pmf, logsumexp
 
@@ -87,10 +87,8 @@ def rr2_dists(k: int, eps0: float) -> tuple[FiniteDist, FiniteDist]:
       mu0(m) = C(k,m) p^m (1-p)^{k-m}
       mu1(m) = (1-p) C(k-1,m-1) p^{m-1} (1-p)^{k-m} + p C(k-1,m) p^m (1-p)^{k-m-1}
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"k must be a positive integer, got {k}")
+    k = int(check_int("k", k, 1))
     check_eps0(eps0)
-    k = int(k)
     p = 1.0 / (math.exp(eps0) + 1.0)
     mu0 = np.exp(binom_log_pmf(k, p))
     # mu1 = Bin(k-1, p) + Bern(1-p): one honest-report client shifted in.
@@ -137,13 +135,11 @@ def exact_rdp_2rr_subshuffle(lam: int, params: SubsampledShuffleParams) -> float
     eps0 = 2 and orders 2, 8 and 64, and within 1e-15 at n = k = 1,
     eps0 = 3.3e-18, where the divergence is about 1e-35.
     """
-    if lam != int(lam) or lam < 2:
-        raise ValueError(f"order lambda must be an integer >= 2, got {lam}")
+    lam = int(check_int("lam", lam, 2))
     if params.k > EXACT_2RR_MAX_K:
         raise ValueError(
             f"exact 2RR oracle is O(k) per order; k={params.k} exceeds {EXACT_2RR_MAX_K}"
         )
-    lam = int(lam)
     eps0 = params.eps0
     if eps0 == 0.0:
         return 0.0
@@ -172,7 +168,7 @@ def exact_rdp_2rr_curve(
     entries = tuple(
         (int(lam), exact_rdp_2rr_subshuffle(lam, params)) for lam in lambdas
     )
-    return RdpCurve(entries=entries, kind=CurveKind.EXACT, params=params)
+    return RdpCurve(entries=entries, kind=CurveKind.EXACT)
 
 
 def exact_shuffle_dist(

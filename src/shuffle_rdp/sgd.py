@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .accountant import AccountantConfig, DpGuarantee, total_privacy
-from .bounds import SubsampledShuffleParams
+from .bounds import SubsampledShuffleParams, check_delta, check_int
 from .mechanisms import VecMech, clip_batch, vec_randomize_sparse
 
 LOSS_LEAST_SQUARES = "least_squares"
@@ -164,8 +164,8 @@ def solve_optimum(
 @np.errstate(over="ignore", invalid="ignore")
 def _random_problem(loss: str, n: int, d: int, seed: int, radius: float) -> ConvexProblem:
     """A random instance: Gaussian design, planted theta at 0.7 radius, noisy targets."""
-    if n < 1 or d < 1:
-        raise ValueError(f"n and d must be positive, got n={n}, d={d}")
+    check_int("n", n, 1)
+    check_int("d", d, 1)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, d)) / math.sqrt(d)
     theta_true = rng.normal(size=d)
@@ -218,10 +218,9 @@ class SgdConfig:
     record_every: Optional[int] = None  # default max(1, T // 500)
 
     def __post_init__(self):
-        if self.T < 1 or self.T != int(self.T):
-            raise ValueError(f"T must be a positive integer, got {self.T}")
-        if self.k < 1 or self.k != int(self.k):
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        check_int("T", self.T, 1)
+        check_int("k", self.k, 1)
+        check_int("seed", self.seed, 0)
         if not self.clip_radius > 0:
             raise ValueError("clip radius must be positive")
         if self.schedule not in (SCHEDULE_PAPER, SCHEDULE_CONSTANT):
@@ -234,10 +233,9 @@ class SgdConfig:
             raise ValueError(f"eta must be finite, got {self.eta}")
         if not (self.bypass_randomizer or self.eps0 > 0):
             raise ValueError("eps0 must be positive unless the randomizer is bypassed")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.record_every is not None and self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        check_delta(self.delta)
+        if self.record_every is not None:
+            check_int("record_every", self.record_every, 1)
 
 
 @dataclass
@@ -369,8 +367,7 @@ def grad_second_moment_check(
 ) -> float:
     """Monte-Carlo estimate of E||mean randomized gradient||_2^2 at a random
     interior point; callers compare it against second_moment_bound."""
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples for a stable estimate")
+    check_int("samples", samples, 1000)  # fewer give no stable estimate
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xE57)))
     theta = rng.normal(size=problem.d)
     theta = project(theta, 0.5 * problem.radius)

@@ -534,6 +534,18 @@ class TestRejectedInputs:
             says="--log-range POINTS",
         )
 
+    @pytest.mark.parametrize("start, stop", [("1", "inf"), ("nan", "10")])
+    def test_compare_log_range_not_finite(self, tmp_path, capsys, start, stop):
+        out = tmp_path / "o"
+        assert_usage_error(
+            capsys,
+            ["compare", "--axis", "T", "--log-range", start, stop, "3", "--eps0", "1",
+             "--k", "20", "--n", "2000", "--delta", "1e-8", "--lambda-max", "4",
+             "--out", str(out)],
+            out,
+            says="--log-range requires",
+        )
+
     def test_compare_k_above_lower_bound_ceiling(self, tmp_path, capsys, monkeypatch):
         # Refused before the lower bound builds any array of k + 1 values.
         def no_columns(*args):

@@ -7,29 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from shuffle_rdp import logspace
-from shuffle_rdp.logspace import ZERO, SignedLog, binom_log_pmf
-
-
-class TestSignedLog:
-    def test_zero_representation(self):
-        assert ZERO.sign == 0 and ZERO.log_mag == -math.inf
-        assert ZERO.to_real() == 0.0
-
-    @pytest.mark.parametrize("exponent", range(-300, 301, 25))
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_round_trip(self, exponent, sign):
-        x = sign * 10.0**exponent
-        back = SignedLog(sign, math.log(abs(x))).to_real()
-        assert (back > 0) == (x > 0)
-        assert math.log(abs(back)) == pytest.approx(math.log(abs(x)), rel=1e-15)
-
-    def test_invalid_sign_rejected(self):
-        with pytest.raises(ValueError):
-            SignedLog(2, 0.0)
-        with pytest.raises(ValueError):
-            SignedLog(0, 0.0)
-        with pytest.raises(ValueError):
-            SignedLog(1, -math.inf)
+from shuffle_rdp.logspace import binom_log_pmf
 
 
 class TestBinomLogPmf:

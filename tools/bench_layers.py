@@ -15,6 +15,9 @@ Rows, each the median over every repeat, in milliseconds:
   lies past order 33, where the order search reads past its first block;
 * the benchmark's ``query`` operation, ``total_privacy`` plus
   ``baseline_total``, per point over all QUERY_POINTS of those points;
+* the layer that checks a query's arguments: ``SubsampledShuffleParams``
+  and ``AccountantConfig`` built from the point's numbers, then
+  ``baseline_total``, per point over the same QUERY_POINTS points;
 * the headline's order search outside ``rdp_upper``: ``minimize_over_orders``
   with the bound's values looked up, per call over a loop of BLOCK_CALLS
   calls;
@@ -128,21 +131,26 @@ IMPORT_CODE = (
 )
 
 
-def _workload_points(srdp, name: str, n_ops: int) -> list:
-    """(params, AccountantConfig) of each total_privacy that n_ops seed-1
+def _workload_inputs(name: str, n_ops: int) -> list:
+    """(n, k, eps0, T, delta) of each total_privacy that n_ops seed-1
     operations of the benchmark's ``query`` or ``sgd`` workload make."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
     workload = WORKLOADS[name]
-    points = []
+    inputs = []
     for p in workload.inputs(1, n_ops, ROOT):
         n, delta = (p["n"], p["delta"]) if name == "query" else (workload.n, 1e-8)
-        points.append((
-            srdp.SubsampledShuffleParams(n=n, k=p["k"], eps0=p["eps0"]),
-            srdp.AccountantConfig(T=p["T"], delta=delta),
-        ))
-    return points
+        inputs.append((n, p["k"], p["eps0"], p["T"], delta))
+    return inputs
+
+
+def _workload_points(srdp, name: str, n_ops: int) -> list:
+    """The (params, AccountantConfig) of each of _workload_inputs."""
+    return [
+        (srdp.SubsampledShuffleParams(n=n, k=k, eps0=eps0), srdp.AccountantConfig(T=T, delta=delta))
+        for n, k, eps0, T, delta in _workload_inputs(name, n_ops)
+    ]
 
 
 def _clear_lower_caches():
@@ -181,6 +189,16 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             (srdp.total_privacy(p, c), srdp.baseline_total(p, c.T, c.delta)) for p, c in points
         ],
         len(points),
+    )
+    inputs = _workload_inputs("query", QUERY_POINTS)
+
+    def checked():
+        for n, k, eps0, T, delta in inputs:
+            cfg = srdp.AccountantConfig(T=T, delta=delta)
+            srdp.baseline_total(srdp.SubsampledShuffleParams(n=n, k=k, eps0=eps0), cfg.T, cfg.delta)
+
+    cases["argument checks (SubsampledShuffleParams + AccountantConfig + baseline_total), query box"] = (
+        checked, len(inputs)
     )
     cases["minimize_over_orders, headline, outside rdp_upper"] = (
         _search_alone(params, acct), BLOCK_CALLS

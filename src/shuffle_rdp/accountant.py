@@ -29,7 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -136,6 +136,9 @@ _PENALTY_A = np.fromiter(
 )
 _PENALTY_B = np.fromiter((0.0 if lam < 2 else math.log(lam) for lam in range(MAX_ORDER + 1)), float)
 _ORDER_MINUS_ONE = np.arange(-1.0, MAX_ORDER)
+# The search's g by order before any is read.
+_UNREAD = np.full(MAX_ORDER + 1, math.nan)
+_UNREAD.flags.writeable = False
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float) -> DpGuarantee:
@@ -170,41 +173,34 @@ def _line_floor(lo: int, hi: int, q: float, slope: float, T: float, neg_log_delt
     c = tq + neg_log_delta
     if not (-math.inf < c < math.inf and abs(ts) < math.inf):
         return -math.inf
-    log_at = min(max(c, math.log(lo)), math.log(hi))
+    log_at = math.log(lo)
+    if c > log_at:  # e^c clipped to [lo, hi]
+        log_hi = math.log(hi)
+        log_at = log_hi if log_hi < c else c
     at = math.exp(log_at)
     log_ratio = math.log1p(-1.0 / at)
     value = ts + (c - log_at) / (at - 1.0) + log_ratio
     return value - _SLACK * (abs(ts) + (abs(tq) + neg_log_delta + log_at) / (at - 1.0) - log_ratio)
 
 
-def _settles(lo: int, hi: int, lines, incumbents, neg_log_delta: float) -> bool:
-    """Whether one of ``lines``, (q, slope) pairs with q + slope lambda below
-    g over the orders lo..hi, puts the floor on the objective there above
-    the best objective read for every round count, (T, best) in
-    ``incumbents``.  ``lines`` is consumed only up to the first that does."""
-    for q, slope in lines:
-        for T, best in incumbents:
-            if not _line_floor(lo, hi, q, slope, T, neg_log_delta) > best:
-                break
-        else:
-            return True
-    return False
+def _clears(lo: int, hi: int, line, incumbents, neg_log_delta: float) -> bool:
+    """Whether ``line``, (q, slope) with q + slope lambda below g over the
+    orders lo..hi, puts the floor on the objective there above the best
+    objective read for every round count, (T, best) in ``incumbents``."""
+    q, slope = line
+    for T, best in incumbents:
+        if not _line_floor(lo, hi, q, slope, T, neg_log_delta) > best:
+            return False
+    return True
 
 
-def _pieces(start: int, stop: int):
-    """The orders start..stop, cut into pieces [c, _PIECE_RATIO c - 1]."""
-    while start <= stop:
-        end = min(_PIECE_RATIO * start - 1, stop)
-        yield start, end
-        start = end + 1
-
-
-def _monotone_floor(lams, g, i, lo, hi):
+def _monotone_floor(g, lams, i):
     """g(lambda) >= g(a) past a = lams[i], as g is nondecreasing."""
-    yield g[lams[i]] * (1.0 - G_TOL), 0.0
+    line = float(g[lams[i]]) * (1.0 - G_TOL), 0.0
+    return lambda lo, hi: line, lambda lo, hi: ()
 
 
-def convex_floor(lams, g, i, lo, hi):
+def convex_floor(g, lams, i):
     """Lines below a convex g over the gap right of a = lams[i], as
     :func:`bounds.rdp_lower`'s g is: it is the cumulant generating function
     lambda -> ln E_{mu0}[(1 + u)^lambda] of ln(1 + u) under mu0, so convex,
@@ -213,27 +209,30 @@ def convex_floor(lams, g, i, lo, hi):
     Kullback-Leibler Divergence", IEEE Trans. Inf. Theory 2014).
 
     The secant through a and the read order a0 before it, extended past a,
-    lies below g over the whole gap, as does the secant through the gap's
-    right neighbour b and the read order b1 after it, extended before b.
-    Each line is lowered by G_TOL (1 + t) times the larger g it is drawn
-    through, t being the distance from its nearer point over the distance
-    between its points: that covers the rounding of both points' g and of
-    g where the line is applied.
+    lies below g over the whole gap (the first line), as does the secant
+    through the gap's right neighbour b and the read order b1 after it,
+    extended before b (the further line, where b1 exists).  Each line is
+    lowered by G_TOL (1 + t) times the larger g it is drawn through, t
+    being the distance from its nearer point over the distance between its
+    points: that covers the rounding of both points' g and of g where the
+    line is applied.  Neither line depends on the piece.
     """
     a0, a = lams[i - 1], lams[i]
-    ga = g[a]
-    slope = (max(ga - g[a0], 0.0) - G_TOL * ga) / (a - a0)
-    yield ga * (1.0 - G_TOL) - slope * a, slope
+    ga, ga0 = float(g[a]), float(g[a0])
+    slope = (max(ga - ga0, 0.0) - G_TOL * ga) / (a - a0)
+    line = ga * (1.0 - G_TOL) - slope * a, slope
+    further = ()
     if i + 2 < len(lams):
         b, b1 = lams[i + 1], lams[i + 2]
-        gb, gb1 = g[b], g[b1]
+        gb, gb1 = float(g[b]), float(g[b1])
         slope_b = (gb1 - gb + G_TOL * gb1) / (b1 - b)
         if slope_b < math.inf:
-            yield gb - G_TOL * gb1 - slope_b * b, slope_b
+            further = ((gb - G_TOL * gb1 - slope_b * b, slope_b),)
+    return lambda lo, hi: line, lambda lo, hi: further
 
 
-def binomial_floor(params: SubsampledShuffleParams, lams, g, i, lo, hi):
-    """Lines below :func:`bounds.rdp_upper`'s g over the orders lo..hi of
+def binomial_floor(params: SubsampledShuffleParams, g, lams, i):
+    """Lines below :func:`bounds.rdp_upper`'s g over the pieces lo..hi of
     the gap right of a = lams[i].
 
     That g is ln(1 + S), and S sums C(lambda, j) c_j over j >= 2 with
@@ -243,28 +242,34 @@ def binomial_floor(params: SubsampledShuffleParams, lams, g, i, lo, hi):
     and S(a) has no terms past j = a, so S(lambda) >= S(a) C(lambda, 2) /
     C(a, 2), which at a = 2 is C(lambda, 2) c_2 and only rises
     with a.  So g is at least ln(1 + x), x = K lambda (lambda - 1),
-    K = S(a) / (a (a - 1)), S(a) = e^{g(a)} - 1.  On lo..hi, ln(1 + x) lies
-    above its chord in x from x(lo) to x(hi), and x above its tangent in
-    lambda at lo, which gives the first line.  Where x(lo) > 1, g grows
-    with S's high-j terms, and :func:`bounds.rdp_upper_term_lines` gives
-    two more, computed only if the first does not settle the orders.
+    K = S(a) / (a (a - 1)), S(a) = e^{g(a)} - 1, one K for the whole gap.
+    On lo..hi, ln(1 + x) lies above its chord in x from x(lo) to x(hi),
+    and x above its tangent in lambda at lo, which gives the first line.
+    Where x(lo) > 1, g grows with S's high-j terms, and
+    :func:`bounds.rdp_upper_term_lines` gives two further lines, computed
+    only if the first does not settle the piece.
     """
     a = lams[i]
-    ga = g[a] * (1.0 - G_TOL)
+    ga = float(g[a]) * (1.0 - G_TOL)
     log_k = ga + math.log(-math.expm1(-ga) / (a * (a - 1.0))) if ga > 0 else -math.inf
-    x_lo, x_hi = lo * (lo - 1.0), hi * (hi - 1.0)
-    log_x = math.log(x_lo) + log_k
-    q = _log1p_exp(log_x)
-    rise = max(_log1p_exp(math.log(x_hi) + log_k) - q, 0.0)
-    slope = rise / (x_hi - x_lo) * (2.0 * lo - 1.0) if hi > lo else 0.0
-    yield q - slope * lo, slope
-    if log_x > 0.0:
-        yield from rdp_upper_term_lines(params, lo, hi)
 
+    def first(lo, hi):
+        x_lo, x_hi = lo * (lo - 1.0), hi * (hi - 1.0)
+        log_x_lo, log_x_hi = math.log(x_lo) + log_k, math.log(x_hi) + log_k
+        # ln(1 + e^x), or a hair less: x itself past 36
+        q = log_x_lo if log_x_lo > 36.0 else math.log1p(math.exp(log_x_lo))
+        rise = (log_x_hi if log_x_hi > 36.0 else math.log1p(math.exp(log_x_hi))) - q
+        if rise < 0.0:
+            rise = 0.0
+        slope = rise / (x_hi - x_lo) * (2.0 * lo - 1.0) if hi > lo else 0.0
+        return q - slope * lo, slope
 
-def _log1p_exp(x: float) -> float:
-    """ln(1 + e^x), or a hair less."""
-    return x if x > 36.0 else math.log1p(math.exp(x))  # x <= ln(1 + e^x)
+    def further(lo, hi):
+        if math.log(lo * (lo - 1.0)) + log_k > 0.0:
+            return rdp_upper_term_lines(params, lo, hi)
+        return ()
+
+    return first, further
 
 
 def _next_round(gaps, lams, g, incumbents, neg_log_delta: float, floor):
@@ -272,45 +277,57 @@ def _next_round(gaps, lams, g, incumbents, neg_log_delta: float, floor):
 
     ``gaps`` are the stretches of unread orders (start, stop) not yet
     settled, ascending; ``lams`` the orders read, ascending, and ``g``
-    maps each to its (lambda - 1) eps; ``incumbents`` pairs each round
-    count with the best objective read for it.  The orders to read are a
-    range where they are one block (an empty range where there are none),
-    else an ascending integer array.
+    holds each one's (lambda - 1) eps at its index; ``incumbents`` pairs
+    each round count with the best objective read for it.  The orders to
+    read are a range where they are one block (an empty range where there
+    are none), else an ascending integer array.
 
-    Each gap is checked in pieces (_pieces) against the lines ``floor``
-    puts below g there.  A piece that one line settles (_settles) stays
-    settled: floors only rise and the best only falls.  The open pieces
-    are read:
+    Each gap is checked against the lines ``floor`` draws below g there:
+    first the first line over the whole gap, if it has more than one
+    piece (this settles about half the gaps of a point query), then,
+    piece by piece [c, _PIECE_RATIO c - 1], the first line of each piece
+    and the further ones only where it does not settle the piece.  A piece that one line settles stays settled:
+    floors only rise and the best only falls.  The open pieces are read:
 
     * With :func:`convex_floor`, lines come from both sides of a gap, so
       every piece is checked, and the stretch from the first open piece to
       the last is read whole if it has _SPAN_POINTS orders or fewer, else
       at _SPAN_POINTS evenly spaced orders; the unread orders between
       those form the next gaps.
-    * Otherwise lines come from the left neighbour alone, and an order read
-      tightens them only past it.  So the gap is read from the first open
-      piece's start lo, max(_BLOCK, lo // 4) orders at a time, and the rest
-      of it is the next gap.
+    * Otherwise lines come from the left neighbour alone, which is the
+      order before the gap, and an order read tightens them only past it.
+      So the gap is read from the first open piece's start lo,
+      max(_BLOCK, lo // 4) orders at a time, and the rest of it is the
+      next gap.
     """
     convex = floor is convex_floor
     reads, after = [], []
     for start, stop in gaps:
-        i = bisect.bisect_left(lams, start) - 1
+        i = bisect.bisect_left(lams, start) - 1 if convex else len(lams) - 1
         if not g[lams[i]] < math.inf:  # after an infinite g every g is infinite
             continue
-        opened = []
-        for lo, hi in _pieces(start, stop):
-            if not _settles(lo, hi, floor(lams, g, i, lo, hi), incumbents, neg_log_delta):
+        first, further = floor(g, lams, i)
+        whole = stop >= _PIECE_RATIO * start  # a gap of more than one piece
+        if whole and _clears(start, stop, first(start, stop), incumbents, neg_log_delta):
+            continue
+        lo, opened = start, []
+        while lo <= stop:
+            hi = min(_PIECE_RATIO * lo - 1, stop)
+            if not (
+                _clears(lo, hi, first(lo, hi), incumbents, neg_log_delta)
+                or any(_clears(lo, hi, line, incumbents, neg_log_delta) for line in further(lo, hi))
+            ):
                 opened.append((lo, hi))
                 if not convex:
                     break
+            lo = hi + 1
         if not opened:
             continue
         lo, hi = opened[0][0], opened[-1][1]
-        if not convex:
+        if not convex:  # the search's one gap, right of every order read
             hi = min(lo + max(_BLOCK, lo // 4) - 1, stop)
-            after += [(hi + 1, stop)] if hi < stop else []
-        if not convex or hi - lo < _SPAN_POINTS:
+            return range(lo, hi + 1), [(hi + 1, stop)] if hi < stop else []
+        if hi - lo < _SPAN_POINTS:
             reads.extend(range(lo, hi + 1))
             continue
         picked = sorted({lo + (hi - lo) * j // (_SPAN_POINTS + 1) for j in range(1, _SPAN_POINTS + 1)})
@@ -329,7 +346,7 @@ def minimize_over_orders(
     T,
     delta: float,
     lambda_max: int = DEFAULT_LAMBDA_MAX,
-    floor: Optional[Callable[..., Iterable[tuple[float, float]]]] = None,
+    floor: Optional[Callable[..., tuple]] = None,
 ):
     """(clamped eps, argmin lambda, unclamped eps) of the minimum over lambda
     in {2..lambda_max} of T eps_fn(lambda) + dp_penalty(lambda, delta).  With
@@ -347,23 +364,27 @@ def minimize_over_orders(
     order is settled: its floor on the objective lies above the best
     objective read for every round count, which only falls.
 
-    ``floor(lams, g, i, lo, hi)`` yields lines (q, slope), q + slope lambda,
-    below g over the orders lo..hi of the gap right of the read order
-    a = lams[i], given the read orders ``lams`` (ascending) and their g by
-    order.  With no floor the one line is g(a), as g is nondecreasing; the
-    bounds' floors are :func:`convex_floor` (for :func:`bounds.rdp_lower`)
-    and :func:`binomial_floor` (for :func:`rdp_upper`, with its params
-    bound by ``functools.partial``).  With :func:`convex_floor` the search
-    reads each gap from both sides, as its lines come from both.
+    ``floor(g, lams, i)`` gives, once per gap of unread orders right of the
+    read order a = lams[i], two functions of a piece lo..hi of the gap: one
+    returns a line (q, slope), q + slope lambda, below g over lo..hi, and
+    the other further such lines, which the search asks for only where the
+    first does not settle the piece.  ``lams`` holds the read orders,
+    ascending, and ``g`` their g, each at its order's index (NaN at unread
+    orders).  With no floor the one line is g(a), as g is nondecreasing;
+    the bounds' floors are :func:`convex_floor` (for
+    :func:`bounds.rdp_lower`) and :func:`binomial_floor` (for
+    :func:`rdp_upper`, with its params bound by ``functools.partial``).
+    With :func:`convex_floor` the search reads each gap from both sides, as
+    its lines come from both.
 
     A line below g lies below the objective's eps term T g / (lambda - 1),
     and its least objective over a stretch of orders is found in closed
-    form (_line_floor).  Computed g carry rounding errors of about 1e-13
-    relative (the bounds' tests pin them to 1e-11 against 60-digit sums), so
-    every line is lowered by G_TOL = 1e-9 times the g it is drawn from,
-    times 1 + t for a secant extended t times the distance between its
-    points, and every floor on the objective by _SLACK = 1e-12 times its
-    terms.
+    form (_line_floor).  Computed g carry rounding errors of about 1e-14
+    relative up to order 65 and up to 1.2e-11 at the highest orders (the
+    bounds' tests pin 1e-11 against 60-digit sums), so every line is lowered by
+    G_TOL = 1e-9 times the g it is drawn from, times 1 + t for a secant
+    extended t times the distance between its points, and every floor on
+    the objective by _SLACK = 1e-12 times its terms.
 
     Raises ValueError, worded as :class:`AccountantConfig` words it, unless
     0 < delta < 1, ``lambda_max`` is an integer in [2, MAX_ORDER] and every
@@ -372,43 +393,52 @@ def minimize_over_orders(
     check_delta(delta)
     check_int("lambda_max", lambda_max, 2, MAX_ORDER)
     many = not isinstance(T, (int, float)) and np.ndim(T) > 0  # np.ndim is slow on a number
-    for t in T if many else (T,):
+    Ts = T if many else (T,)
+    for t in Ts:
         check_int("T", t, 1)
-    T_list = [float(t) for t in T] if many else [float(T)]
-    Ts = np.array(T_list)
     neg_log_delta = -math.log(delta)
     floor = floor or _monotone_floor
-    # The incumbent of each round count: the least objective read, and the
-    # least order that reads it.
-    best, argmin = [math.inf] * len(T_list), [None] * len(T_list)
+    # The incumbent of each round count: [T, the least objective read], and
+    # the least order that reads it.
+    incumbents = [[float(t), math.inf] for t in Ts]
+    argmin = [None] * len(incumbents)
     reads = range(2, min(_FIRST_STOP, lambda_max + 1))
     gaps = [(reads.stop, lambda_max)] if reads.stop <= lambda_max else []
-    lams, g = [], {}
+    lams, g = [], _UNREAD[:lambda_max + 1].copy()
     while len(reads):
         block = isinstance(reads, range)
         at = slice(reads.start, reads.stop) if block else reads
         eps = np.asarray(eps_fn(reads), dtype=float)
         order_minus_one = _ORDER_MINUS_ONE[at]
-        objective = np.multiply.outer(Ts, eps)
         # dp_penalty, bit for bit (see the tables)
-        objective += ((neg_log_delta + _PENALTY_A[at]) - _PENALTY_B[at]) / order_minus_one
-        orders = list(reads) if block else reads.tolist()
+        penalty = _PENALTY_A[at] + neg_log_delta
+        penalty -= _PENALTY_B[at]
+        penalty /= order_minus_one
+        orders = reads if block else reads.tolist()
         # Orders ascend within a round: a row's first least entry has the
         # least order, and an earlier round's incumbent keeps a tie only
         # with a lesser order.
-        for t, j in enumerate(objective.argmin(axis=1).tolist()):
-            row = objective[t]
-            if row[j] != row[j]:  # argmin stops at a NaN, which np.fmin would pass over
-                j = int(np.argmin(np.where(row == row, row, math.inf)))
+        for t, incumbent in enumerate(incumbents):
+            row = eps * incumbent[0]
+            row += penalty
+            j = int(row.argmin())
             value = float(row[j])
-            if value < best[t] or value == best[t] < math.inf and orders[j] < argmin[t]:
-                best[t], argmin[t] = value, orders[j]
-        g.update(zip(orders, (eps * order_minus_one).tolist()))
-        lams = lams + orders if not lams or orders[0] > lams[-1] else sorted(lams + orders)
-        reads, gaps = _next_round(gaps, lams, g, list(zip(T_list, best)), neg_log_delta, floor)
+            if value != value:  # argmin stops at a NaN, which np.fmin would pass over
+                j = int(np.argmin(np.where(row == row, row, math.inf)))
+                value = float(row[j])
+            best = incumbent[1]
+            if value < best or value == best < math.inf and orders[j] < argmin[t]:
+                incumbent[1], argmin[t] = value, orders[j]
+        g[at] = eps * order_minus_one
+        if not lams or orders[0] > lams[-1]:
+            lams.extend(orders)
+        else:
+            for order in orders:
+                bisect.insort(lams, order)
+        reads, gaps = _next_round(gaps, lams, g, incumbents, neg_log_delta, floor)
     results = [
         (max(b, 0.0), lam, b) if b < math.inf else (math.inf, None, math.inf)
-        for b, lam in zip(best, argmin)
+        for (_, b), lam in zip(incumbents, argmin)
     ]
     return results if many else results[0]
 

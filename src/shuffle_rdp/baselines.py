@@ -79,6 +79,7 @@ def shuffle_amplify(eps0: float, k: int, delta: float) -> ApproxDp:
     """
     check_int("k", k, 2)
     check_eps0(eps0)
+    check_delta(delta)
     if eps0 == 0.0:
         return ApproxDp(eps=0.0, delta=delta)
     if clones_condition_ok(eps0, k, delta):

@@ -24,14 +24,14 @@ Both RDP bounds take one order or a sequence of them and evaluate a
 sequence as one array expression over a (term x order) grid, in chunks of
 at most _CHUNK_CELLS cells.  Each order's terms are summed down its column
 in sequence, so a value does not depend on which other orders are asked
-for with it.  The upper bound's ln C(lambda, j) grid of a chunk depends on
-its orders alone, and for a range of orders that is one chunk it is read
-from a small cache that fills on first use.  Orders are restricted to
-integers lambda >= 2, exactly as the closed forms are stated, and at most
-MAX_ORDER.  At eps0 = 0 every quantity here is identically zero.  Every
-closed form evaluates e^{eps0}, so eps0 must lie in [0, EPS0_MAX], where
-EPS0_MAX = ln(largest double) ~ 709.78 is the largest eps0 whose e^{eps0}
-is a finite double.
+for with it.  The upper bound's orders up to 65, the ones a point query
+reads, are instead the rows of one product with a fixed table of exact
+binomials, unless the guard of :func:`_table_upper` sends a mechanism to
+the grid.  Orders are restricted to integers lambda >= 2, exactly as the
+closed forms are stated, and at most MAX_ORDER.  At eps0 = 0 every
+quantity here is identically zero.  Every closed form evaluates e^{eps0},
+so eps0 must lie in [0, EPS0_MAX], where EPS0_MAX = ln(largest double)
+~ 709.78 is the largest eps0 whose e^{eps0} is a finite double.
 
 The package checks its scalar arguments here: :func:`check_eps0`,
 :func:`check_int` for every count and order (n, k, T, lambda, ...), which
@@ -81,13 +81,12 @@ _CHUNK_CELLS = 3 * 2**12
 # per sum outweigh the sum even at 32 orders.
 _WIDE_CHUNK = 16
 
-# The upper bound's ln C(lambda, j) grids kept for ranges of orders that
-# are one chunk; at most _CHUNK_CELLS cells each, so 4 hold at most 384 KB.
-_BLOCK_GRIDS = 4
-
 #: Relative allowance for the rounding of a computed g(lambda) = (lambda - 1)
-#: eps(lambda), about 1e-13 (the tests pin 1e-11 against 60-digit sums):
-#: every line drawn below g from computed values is lowered by this much.
+#: eps(lambda): every line drawn below g from computed values is lowered by
+#: this much.  Measured against 60-digit sums, g is within 1.1e-14 up to
+#: order 65 (the product) and within 1.2e-11 above it, where the grid's
+#: ln C(lambda, j) carries up to 1.4e-14 at order 33, 1.1e-12 at 1024 and
+#: 7e-12 at 4096 (the tests pin 1e-11).
 G_TOL = 1e-9
 
 #: Largest lambda ln(1 + u) summed in linear space; e^700 is still finite.
@@ -104,7 +103,7 @@ _DROP_BELOW = math.log(1e40) + 1.0
 # Gamma's poles at i < 0, so ln C(lambda, j) = ln lambda! - ln j!
 # - ln (lambda - j)! is -inf where j > lambda.  Two views of it read, for
 # j = 2, 3, ..., ln j! (a column) and, in column MAX_ORDER + 2 - lambda,
-# ln (lambda - j)!.  The others hold j, ln j and ln Gamma(j/2) for
+# ln (lambda - j)!.  The others hold j, ln j, j/2 and ln Gamma(j/2) for
 # j = 2..MAX_ORDER; _J, read-only, also holds the orders of a range.
 _GAMMALN_HALVES = np.load(Path(__file__).with_name("_gammaln_halves.npy"))
 _GAMMALN_HALVES.flags.writeable = False
@@ -114,7 +113,32 @@ _LOG_FACTORIAL_DOWN = sliding_window_view(_LOG_FACTORIAL[::-1], MAX_ORDER + 1)
 _J = np.arange(2.0, MAX_ORDER + 1.0)
 _J.flags.writeable = False
 _LOG_J = np.log(_J)
+_HALF_J = _J / 2.0
 _LOG_GAMMA_HALF_J = _GAMMALN_HALVES[1:MAX_ORDER]
+
+# The upper bound's orders 2.._TABLE_TOP come from one product with
+# _BINOM[lambda - 2, j - 2] = C(lambda, j), lambda, j = 2.._TABLE_TOP, zero
+# where j > lambda: Pascal's rule in int64 (C(65, 32) < 2^62), each entry
+# then rounded once to the nearest double, so exact up to lambda = 56
+# (C(56, 28) < 2^53).  The product takes mechanisms with ln c_2 >=
+# _TABLE_LOG_MIN and every ln c_j <= _TABLE_LOG_MAX (see _table_upper);
+# _TABLE_DIVISORS holds lambda - 1.
+_TABLE_TOP = 65
+_TABLE_LOG_MIN = -665.0
+_TABLE_LOG_MAX = 660.0
+
+
+def _binomial_table() -> np.ndarray:
+    pascal = np.zeros((_TABLE_TOP + 1, _TABLE_TOP + 1), dtype=np.int64)  # C(lambda, j) from 0
+    pascal[:, 0] = 1
+    for lam in range(1, _TABLE_TOP + 1):
+        pascal[lam, 1:] = pascal[lam - 1, 1:] + pascal[lam - 1, :-1]
+    return pascal[2:, 2:].astype(float)
+
+
+_BINOM = _binomial_table()
+_BINOM.flags.writeable = False
+_TABLE_DIVISORS = _J[:_TABLE_TOP - 1] - 1.0
 
 # Taylor coefficients of e^t - 1 - t (from t^2) and of ln(1 + u) - u (from
 # u^2).  Below |x| = 0.01 the first omitted term is under 1e-17 relative.
@@ -323,9 +347,14 @@ def _upper_log_coefficients(params: SubsampledShuffleParams, n_j: int) -> np.nda
     log_gamma_s = math.log(params.gamma)
     j = _J[:n_j]
     log_base = math.log(2.0) + 2.0 * log_expm1(2.0 * eps0) - math.log(kb) - 2.0 * eps0
-    ternary = j * log_gamma_s + _LOG_J[:n_j] + _LOG_GAMMA_HALF_J[:n_j] + (j / 2.0) * log_base
+    # ((j ln gamma + ln j) + ln Gamma(j/2)) + (j/2) ln base, in place
+    ternary = j * log_gamma_s
+    ternary += _LOG_J[:n_j]
+    ternary += _LOG_GAMMA_HALF_J[:n_j]
+    ternary += _HALF_J[:n_j] * log_base
     ternary[0] = math.log(4.0) + 2.0 * log_gamma_s + 2.0 * log_expm1(eps0) - math.log(kb) - eps0
-    tail = j * (log_gamma_s + _log_2sinh(eps0)) - (k - 1) / (8.0 * math.exp(eps0))
+    tail = j * (log_gamma_s + _log_2sinh(eps0))
+    tail -= (k - 1) / (8.0 * math.exp(eps0))
     return np.logaddexp(ternary, tail, out=ternary)
 
 
@@ -365,49 +394,104 @@ def rdp_upper(lam, params: SubsampledShuffleParams):
     plus the concentration tail (2 sinh eps0)^j e^{-(k-1)/(8 e^{eps0})}.
     Summed over j, the tails make Upsilon = ((1 + A)^lambda - 1 - lambda A)
     e^{-(k-1)/(8 e^{eps0})}, A = 2 gamma sinh eps0; term by term S stays in
-    log space even when (1 + A)^lambda overflows.  Each order is one column
-    of a (j x order) grid of log terms: the ln C(lambda, j) grid
-    (:func:`_log_binomials`, cached for a range of orders that is one
-    chunk) plus ln c_j (:func:`_upper_log_coefficients`).
+    log space even when (1 + A)^lambda overflows.
+
+    Orders up to _TABLE_TOP = 65 come from one product with a table of
+    exact binomials (:func:`_table_upper`), unless the mechanism's c_j lie
+    outside the range it takes; every other order is one column of a
+    (j x order) grid of log terms (:func:`_grid_upper`).
     """
     lams = _orders(lam)
     if params.k < 2:
         raise ValueError(f"the upper bound requires k >= 2, got k={params.k}")
-    eps0, k = params.eps0, params.k
-    out = np.zeros(lams.size)
-    if eps0 == 0.0 or not lams.size:
-        return _shaped(out, lam)
+    if params.eps0 == 0.0 or not lams.size:
+        return _shaped(np.zeros(lams.size), lam)
+    if isinstance(lam, range) and lam.step == 1 and lam.stop <= _TABLE_TOP + 1:
+        table = _table_upper(params)  # a block of the order search: a slice of the table
+        if table is not None:
+            return table[lam.start - 2:lam.stop - 2]
+    near = lams <= _TABLE_TOP
+    n_near = np.count_nonzero(near)
+    table = _table_upper(params) if n_near else None
+    if table is None:
+        return _shaped(_grid_upper(lams, params), lam)
+    if n_near == lams.size:
+        return _shaped(table[lams.astype(np.intp) - 2], lam)
+    out = np.empty(lams.size)
+    out[near] = table[lams[near].astype(np.intp) - 2]
+    far = ~near
+    out[far] = _grid_upper(lams[far], params)
+    return _shaped(out, lam)
+
+
+def _table_upper(params: SubsampledShuffleParams):
+    """:func:`rdp_upper` at the orders 2.._TABLE_TOP, each row's S read off
+    one product, S = _BINOM @ (c_2, ..., c_65), then ln(1 + S) by log1p.
+    Returns None, and the grid takes those orders, unless the coefficients
+    lie in the range the product handles: ln c_2 >= _TABLE_LOG_MIN = -665
+    and max_j ln c_j <= _TABLE_LOG_MAX = 660.
+
+    Every row is formed by the same fixed-shape product, so a value does
+    not depend on which orders a call asks for.  Why the guard suffices:
+
+    * No overflow.  A row's S is at most sum_j C(lambda, j) max_j c_j
+      < 2^65 e^660 < e^706, a finite double, so S is summed in linear
+      space and ln(1 + S) loses nothing to cancellation.
+    * Underflow costs a row at most 6e-19 relative.  exp's result is within
+      a relative 2^-52 of c_j where that is a normal double, and within
+      2^-1074 of it where it is subnormal or rounds to 0; the products and
+      the sum after it round relatively.  So underflow adds at most
+      2^-1074 sum_{j<=lambda} C(lambda, j) < 2^(lambda - 1074) to the
+      row's S, which is at least its j = 2 term C(lambda, 2) c_2, a normal
+      double.  The relative error that adds is at most 2^(lambda - 1074) /
+      (C(lambda, 2) c_2), largest at lambda = 65 (2^lambda / C(lambda, 2)
+      rises from lambda = 4, and lambda = 2, 3 give less), where it is
+      e^{-707.01 - ln c_2}: under 6e-19 with ln c_2 >= -665.
+    * The largest ln c_j is cheap.  For j >= 3, ln c_j is convex in j (the
+      ternary part's ln j + ln Gamma(j/2) has second derivative above
+      1/(2j) - 1/(2j^2) > 0, the tail's is linear, and a logaddexp of
+      convex functions is convex), so it is ln c_2, ln c_3 or ln c_65.
+
+    The grid takes mechanisms whose c_j still grow at j = 65 to past
+    e^660, as from about eps0 = 8.5 at gamma = 1, and those with
+    c_2 < e^-665, at a sampling rate below about 1e-143.
+    """
+    log_c = _upper_log_coefficients(params, _TABLE_TOP - 1)
+    top = max(log_c[0], log_c[1], log_c[-1])
+    if not (log_c[0] >= _TABLE_LOG_MIN and top <= _TABLE_LOG_MAX):
+        return None
+    sums = _BINOM.dot(np.exp(log_c, out=log_c))
+    log1p_s = np.log1p(sums, out=sums)
+    log1p_s /= _TABLE_DIVISORS
+    return log1p_s
+
+
+def _grid_upper(lams: np.ndarray, params: SubsampledShuffleParams) -> np.ndarray:
+    """:func:`rdp_upper` at the orders ``lams``, each the column of a
+    (j x order) grid: the ln C(lambda, j) grid (:func:`_log_binomials`)
+    plus ln c_j (:func:`_upper_log_coefficients`), summed by
+    :func:`_column_sums` in chunks of at most _CHUNK_CELLS cells."""
     n_j = int(lams.max()) - 1
     log_c = _upper_log_coefficients(params, n_j)[:, None]
     orders = lams.astype(np.intp)
-    cached = isinstance(lam, range) and lam.step == 1 and lams.size * n_j <= _CHUNK_CELLS
+    out = np.empty(lams.size)
     for at in _order_chunks(lams.size, n_j):
-        o = orders[at]
-        grid = _block_log_binomials(int(o[0]), int(o[-1]) + 1) if cached else _log_binomials(o)
-        cells = grid + log_c[:grid.shape[0]]
+        cells = _log_binomials(orders[at])
+        cells += log_c[:cells.shape[0]]
         top = cells.max(axis=0)
         cells -= top
         log_sum = top + np.log(_column_sums(np.exp(cells, out=cells)))
         out[at] = np.logaddexp(0.0, log_sum) / (lams[at] - 1.0)
-    return _shaped(out, lam)
+    return out
 
 
 def _log_binomials(orders: np.ndarray) -> np.ndarray:
     """ln C(lambda, j) for j = 2..max(orders) (rows) and lambda in
     ``orders`` (columns), -inf where j > lambda, C-ordered: the grid that
-    :func:`rdp_upper` adds ln c_j to, row by row."""
+    :func:`_grid_upper` adds ln c_j to, row by row."""
     height = int(orders.max()) - 1
     grid = np.subtract(_LOG_FACTORIAL[MAX_ORDER + orders], _LOG_FACTORIAL_J[:height])
     grid -= _LOG_FACTORIAL_DOWN[:height, MAX_ORDER + 2 - orders]
-    return grid
-
-
-@lru_cache(maxsize=_BLOCK_GRIDS)
-def _block_log_binomials(start: int, stop: int) -> np.ndarray:
-    """_log_binomials of the orders start..stop - 1, read-only and memoized:
-    the order search asks for the same few blocks for every mechanism."""
-    grid = _log_binomials(np.arange(start, stop))
-    grid.flags.writeable = False
     return grid
 
 

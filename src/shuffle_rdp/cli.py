@@ -61,27 +61,26 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(row + "\n")
+def _csv_text(header: str, rows: list[str]) -> str:
+    return "".join(line + "\n" for line in (header, *rows))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write payload as JSON; a non-finite number raises before the file opens."""
+def _json_text(name: str, payload: dict) -> str:
+    """payload as JSON text; a non-finite number raises, naming the file."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ValueError(f"{path.name} would hold a non-finite number: {exc}") from exc
-    with open(path, "w", newline="\n") as f:
-        f.write(text + "\n")
+        raise ValueError(f"{name} would hold a non-finite number: {exc}") from exc
 
 
-def _out_dir(path: str) -> Path:
+def _write_files(path: str, texts: dict[str, str]) -> None:
+    """Create the output directory and write each file's text into it.  The
+    texts are rendered before this is called, so an input that fails
+    leaves no directory and no file."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, text in texts.items():
+        (out / name).write_text(text, newline="\n")
 
 
 def _guarantee_payload(g: DpGuarantee) -> dict:
@@ -254,30 +253,32 @@ def cmd_bound(v) -> int:
         raise ValueError("empty order range")
     upper, lower = rdp_upper(lambdas, params).tolist(), rdp_lower(lambdas, params).tolist()
     rows = [f"{lam},{_fmt(up)},{_fmt(lo)}" for lam, up, lo in zip(lambdas, upper, lower)]
-    out = _out_dir(v.out)
-    _write_csv(out / "bound.csv", "lambda,eps_upper,eps_lower", rows)
-    _write_json(
-        out / "bound.meta.json",
-        {"command": "bound", "eps0": v.eps0, "k": v.k, "n": v.n, "lambdas": lambdas},
-    )
+    _write_files(v.out, {
+        "bound.csv": _csv_text("lambda,eps_upper,eps_lower", rows),
+        "bound.meta.json": _json_text(
+            "bound.meta.json",
+            {"command": "bound", "eps0": v.eps0, "k": v.k, "n": v.n, "lambdas": lambdas},
+        ),
+    })
     return 0
 
 
 def cmd_convert(v) -> int:
     g = rdp_to_dp(_read_curve(v.curve, CurveKind(v.kind)), v.delta)
-    _write_json(_out_dir(v.out) / "convert.json", _guarantee_payload(g))
+    _write_files(v.out, {"convert.json": _json_text("convert.json", _guarantee_payload(g))})
     return 0
 
 
 def cmd_compose(v) -> int:
     composed = compose_curve(_read_curve(v.curve, CurveKind(v.kind)), v.T)
     rows = [f"{lam},{_fmt(eps)}" for lam, eps in composed.entries]
-    out = _out_dir(v.out)
-    _write_csv(out / "composed.csv", "lambda,eps", rows)
-    _write_json(
-        out / "composed.meta.json",
-        {"command": "compose", "T": v.T, "kind": v.kind, "source": v.curve},
-    )
+    _write_files(v.out, {
+        "composed.csv": _csv_text("lambda,eps", rows),
+        "composed.meta.json": _json_text(
+            "composed.meta.json",
+            {"command": "compose", "T": v.T, "kind": v.kind, "source": v.curve},
+        ),
+    })
     return 0
 
 
@@ -333,9 +334,12 @@ def cmd_compare(v) -> int:
         f"{axis_fmt(x)},{ours},{base},{lower_ref}"
         for x, (ours, base, lower_ref) in zip(values, results)
     ]
-    out = _out_dir(v.out)
-    _write_csv(out / "compare.csv", "axis_value,eps_ours,eps_baseline,eps_lower_ref", rows)
-    _write_json(out / "compare.meta.json", dict(fixed, command="compare", values=values))
+    _write_files(v.out, {
+        "compare.csv": _csv_text("axis_value,eps_ours,eps_baseline,eps_lower_ref", rows),
+        "compare.meta.json": _json_text(
+            "compare.meta.json", dict(fixed, command="compare", values=values)
+        ),
+    })
     return 0
 
 
@@ -359,9 +363,10 @@ def cmd_simulate(v) -> int:
         "privacy": None if report.privacy is None else _guarantee_payload(report.privacy),
         "config": config,
     }
-    out = _out_dir(v.out)
-    _write_csv(out / "trajectory.csv", "round,objective", rows)
-    _write_json(out / "privacy.json", payload)
+    _write_files(v.out, {
+        "trajectory.csv": _csv_text("round,objective", rows),
+        "privacy.json": _json_text("privacy.json", payload),
+    })
     return 0
 
 

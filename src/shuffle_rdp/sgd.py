@@ -166,6 +166,7 @@ def _random_problem(loss: str, n: int, d: int, seed: int, radius: float) -> Conv
     """A random instance: Gaussian design, planted theta at 0.7 radius, noisy targets."""
     check_int("n", n, 1)
     check_int("d", d, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, d)) / math.sqrt(d)
     theta_true = rng.normal(size=d)
@@ -317,6 +318,22 @@ def aggregate_round(
     return np.bincount(j, weights=b, minlength=mech.d) * mech.scale / len(idx)
 
 
+def _check_steps(problem: ConvexProblem, cfg: SgdConfig, eta_max: float, report_max: float):
+    """Raise ValueError unless no round can overflow: a gradient's norm over
+    the clip radius (at most lipschitz / clip_radius) and an iterate moved
+    by the largest step (eta_max, the first round's) times the largest
+    mean-report coordinate (report_max) stay finite."""
+    if not math.isfinite(problem.lipschitz / cfg.clip_radius):
+        raise ValueError(
+            f"clip_radius {cfg.clip_radius} is too small: lipschitz / clip_radius overflows"
+        )
+    if not math.isfinite(problem.radius + eta_max * report_max):
+        raise ValueError(
+            f"eta {eta_max} is too large: a step of eta times the largest report "
+            f"{report_max} overflows"
+        )
+
+
 def run(problem: ConvexProblem, cfg: SgdConfig) -> SgdRunReport:
     """Execute the private SGD loop and attach the accountant's guarantee."""
     if cfg.k > problem.n:
@@ -327,6 +344,7 @@ def run(problem: ConvexProblem, cfg: SgdConfig) -> SgdRunReport:
         eta = lambda t: D / (G * math.sqrt(t))
     else:
         eta = lambda t: cfg.eta
+    _check_steps(problem, cfg, eta(1), cfg.clip_radius if mech is None else mech.scale)
 
     record_every = cfg.record_every or max(1, cfg.T // 500)
     theta = np.zeros(problem.d)

@@ -1,10 +1,6 @@
 """Tests for the closed-form RDP bounds and ternary divergence bounds."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,7 +352,9 @@ class TestLowerWindow:
 class TestOneOrderEqualsBlock:
     """One order alone is a lone column, summed by a cumsum; inside a block
     of at least _WIDE_CHUNK orders it is one column of a reduce.  Both add
-    the same cells in the same order, so the values agree bit for bit."""
+    the same cells in the same order, so the values agree bit for bit.  The
+    upper bound's orders up to 65 are rows of one fixed product, whatever
+    else a call asks for."""
 
     @pytest.mark.parametrize(
         "block",
@@ -365,11 +363,27 @@ class TestOneOrderEqualsBlock:
             [2048, 30, 2],
             [MAX_ORDER, MAX_ORDER - 1, 2],
             list(range(350, 385)),  # chunks of 32 and 3 orders
+            [64, 65, 66, 67],  # the product's last orders and the grid's first
+            list(range(60, 70)),
+            [2, 65, 2048],
         ],
     )
     def test_upper_at_tall_columns(self, block):
         p = params(10**6, 1000, 2.0)
         assert rdp_upper(block, p).tolist() == [rdp_upper(lam, p) for lam in block]
+
+    @staticmethod
+    def bits(values):
+        return [float(x).hex() for x in np.atleast_1d(values)]
+
+    @pytest.mark.parametrize(
+        "block", [range(40, 41), range(2, 17), range(30, 46), range(2, 34), range(2, 2049)]
+    )
+    def test_range_equals_array_and_single_orders(self, block):
+        p = params(10**6, 1000, 2.0)
+        singles = self.bits([rdp_upper(lam, p) for lam in block])
+        array = self.bits(rdp_upper(np.arange(block.start, block.stop), p))
+        assert self.bits(rdp_upper(block, p)) == array == singles
 
     def test_lower_on_both_sides_of_the_log_space_switch(self):
         # gamma = 1 and eps0 = 2 sum orders >= 350 in log space.
@@ -380,10 +394,25 @@ class TestOneOrderEqualsBlock:
     @pytest.mark.parametrize("bound", [rdp_upper, rdp_lower])
     def test_range_equals_its_list(self, bound):
         p = params(10**6, 1000, 2.0)
-        for block in (range(2, 34), range(34, 61), range(2, 40, 3), range(9, 9)):
+        for block in (range(2, 34), range(34, 61), range(2, 40, 3), range(9, 9), range(60, 70)):
             got = bound(block, p)
             assert isinstance(got, np.ndarray)
             assert got.tolist() == bound(list(block), p).tolist()
+
+
+class TestBinomialTable:
+    def test_table_is_math_comb_correctly_rounded(self):
+        # _BINOM[lambda - 2, j - 2] = C(lambda, j), rounded once to a double
+        # (float of an int rounds to nearest), zero where j > lambda; every
+        # entry is exact up to lambda = 56.
+        table = bounds._BINOM
+        assert table.shape == (64, 64) and not table.flags.writeable
+        for lam in range(2, 66):
+            for j in range(2, 66):
+                want = math.comb(lam, j)
+                assert table[lam - 2, j - 2] == float(want)
+                if lam <= 56:
+                    assert int(table[lam - 2, j - 2]) == want
 
 
 class TestSandwich:
@@ -402,74 +431,6 @@ class TestSandwich:
             up = rdp_upper(lam, p)
             assert math.isfinite(lo) and math.isfinite(up)
             assert 0 <= lo <= up
-
-
-class TestBlockGridCache:
-    """A range of orders that is one chunk reads its ln C(lambda, j) grid
-    from a small cache of read-only arrays; any other sequence builds its
-    grids.  Both give the same values bit for bit, with the cache cold and
-    warm."""
-
-    @staticmethod
-    def bits(values):
-        return [float(x).hex() for x in np.atleast_1d(values)]
-
-    @pytest.mark.parametrize(
-        "block", [range(40, 41), range(2, 17), range(30, 46), range(2, 34), range(2, 2049)]
-    )
-    def test_range_equals_array_and_single_orders(self, block):
-        p = params(10**6, 1000, 2.0)
-        singles = self.bits([rdp_upper(lam, p) for lam in block])
-        array = self.bits(rdp_upper(np.arange(block.start, block.stop), p))
-        bounds._block_log_binomials.cache_clear()
-        cold = self.bits(rdp_upper(block, p))
-        warm = self.bits(rdp_upper(block, p))
-        assert cold == warm == array == singles
-
-    def test_cached_grids_are_read_only(self):
-        rdp_upper(range(2, 34), params(10**6, 1000, 2.0))
-        grid = bounds._block_log_binomials(2, 34)
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0, 0] = 0.0
-
-    def test_cache_holds_at_most_a_few_hundred_kb(self):
-        maxsize = bounds._block_log_binomials.cache_info().maxsize
-        assert maxsize is not None and maxsize * bounds._CHUNK_CELLS * 8 <= 400_000
-        # Every chunk a range is cut into fits in _CHUNK_CELLS cells.
-        for block in (range(2, 34), range(34, 300), range(2, 2049), range(4000, MAX_ORDER + 1)):
-            for at in bounds._order_chunks(len(block), block[-1] - 1):
-                orders = block[at]
-                grid = bounds._block_log_binomials(orders[0], orders[-1] + 1)
-                assert grid.size <= bounds._CHUNK_CELLS
-        assert bounds._block_log_binomials.cache_info().currsize <= maxsize
-
-    def test_long_range_leaves_the_cache_alone(self):
-        # A range of many chunks builds its grids uncached, so it neither
-        # fills the cache nor evicts the order search's first block.
-        p = params(10**6, 1000, 2.0)
-        info = bounds._block_log_binomials.cache_info
-        bounds._block_log_binomials.cache_clear()
-        rdp_upper(range(2, 34), p)
-        before = info()
-        rdp_upper(range(2, 2049), p)
-        after = info()
-        assert (after.currsize, after.misses) == (before.currsize, before.misses)
-        rdp_upper(range(2, 34), p)
-        assert info().hits == after.hits + 1
-
-    def test_cache_is_empty_after_import(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(bounds.__file__).resolve().parents[1]))
-        code = (
-            "import shuffle_rdp\n"
-            "from shuffle_rdp import bounds\n"
-            "print(bounds._block_log_binomials.cache_info().currsize)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"]
 
 
 class TestConcurrentTabulation:
@@ -551,6 +512,38 @@ class TestHighPrecision:
     def test_upper_at_large_orders(self, n, k, eps0, lam):
         ref = self.upper_mp(lam, n, k, eps0)
         assert rdp_upper(lam, params(n, k, eps0)) == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "n,k,eps0,product",
+        [
+            (10**6, 1000, 2.0, True),  # the headline: the largest c_j is c_2
+            (10**9, 10**6, 1e-3, True),
+            (1000, 100, 2.0, True),  # the sgd workload's box: top = 22.4
+            (10**4, 100, 10.0, True),  # c_j grow to j = 65, e^446 over c_2
+            (2, 2, 8.51, True),  # top = 659.7, just inside the guard
+            (2, 2, 8.53, False),  # top = 661.0: the grid takes every order
+            (300, 300, 40.0, False),  # c_65 = e^2707 would overflow
+        ],
+    )
+    def test_upper_through_the_product(self, n, k, eps0, product):
+        # Orders up to 65 come from the exact-binomial product unless the
+        # guard sends the mechanism to the grid; both meet 60 digits.
+        p = params(n, k, eps0)
+        assert (bounds._table_upper(p) is not None) == product
+        lams = [2, 3, 33, 56, 57, 65]
+        for lam, got in zip(lams, rdp_upper(lams, p)):
+            assert got == pytest.approx(self.upper_mp(lam, n, k, eps0), rel=5e-14)
+
+    @pytest.mark.parametrize("n, product", [(10**145, True), (2 * 10**145, False)])
+    def test_upper_at_the_smallest_coefficients(self, n, product):
+        # ln c_2 = -664.1 takes the product and -665.5 the grid.  The
+        # 60-digit sum cannot resolve a sampling rate of 1e-145 (its Upsilon
+        # cancels), so the grid is the reference: both carry the rounding of
+        # ln c_j near -660, about 1e-13.
+        p = params(n, 2, 1.0)
+        assert (bounds._table_upper(p) is not None) == product
+        lams = np.array([2.0, 3.0, 33.0, 56.0, 57.0, 65.0])
+        assert rdp_upper(lams, p) == pytest.approx(bounds._grid_upper(lams, p), rel=2e-13)
 
     @pytest.mark.parametrize("eps0", [0.1, 2.0, 5.0])
     @pytest.mark.parametrize("k", [2, 100, 1000])

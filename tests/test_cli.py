@@ -338,10 +338,42 @@ class TestSimulate:
         assert 1e306 < payload["grad_second_moment"] < math.inf
 
     def test_json_never_holds_a_non_finite_number(self, tmp_path):
-        path = tmp_path / "x.json"
-        with pytest.raises(ValueError, match="non-finite"):
-            cli._write_json(path, {"x": math.inf})
-        assert not path.exists()
+        # The text of every file is rendered before the output directory is
+        # made, so the refusal leaves no file (see the overflow tests below).
+        with pytest.raises(ValueError, match="x.json would hold a non-finite"):
+            cli._json_text("x.json", {"x": math.inf})
+
+    def test_step_that_overflows_leaves_no_output(self, tmp_path, capsys):
+        # eta times the randomizer's output scale overflows: refused before
+        # any round runs, with no warning and no --out directory.
+        out = tmp_path / "o"
+        argv = ["simulate", "--T", "5", "--k", "2", "--n", "4", "--d", "3", "--eps0", "2",
+                "--seed", "0", "--eta", "1e308", "--schedule", "constant", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_clip_radius_whose_factor_overflows_leaves_no_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["simulate", "--T", "5", "--k", "2", "--n", "4", "--d", "3", "--eps0", "2",
+                "--seed", "0", "--clip-radius", "1e-320", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: clip_radius ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--eta", "1e300", "--schedule", "constant"],  # the largest step stays finite
+        ["--clip-radius", "1e-300"],  # so does the clip factor
+    ])
+    def test_extreme_but_finite_steps_run_quietly(self, tmp_path, capsys, flags):
+        argv = ["simulate", "--T", "5", "--k", "2", "--n", "4", "--d", "3", "--eps0", "2",
+                "--seed", "0", *flags, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
     def test_bad_cohort_exit2(self, tmp_path):
         rc = main(

@@ -184,6 +184,13 @@ def test_floors_lie_below_computed_g(p, extra, T, delta):
     # drawn from the left alone, up to the ceiling L.
     L = 512
     neg_log_delta = -math.log(delta)
+
+    def pieces(start, stop):  # [c, _PIECE_RATIO c - 1], as the search cuts a gap
+        while start <= stop:
+            end = min(accountant._PIECE_RATIO * start - 1, stop)
+            yield start, end
+            start = end + 1
+
     for bound, floor, left_only in (
         (rdp_upper, functools.partial(binomial_floor, p), True),
         (rdp_lower, convex_floor, False),
@@ -194,13 +201,16 @@ def test_floors_lie_below_computed_g(p, extra, T, delta):
         g_all = eps * np.arange(1.0, L)
         objective = float(T) * eps + np.array([dp_penalty(lam, delta) for lam in range(2, L + 1)])
         lams = sorted(set(range(2, 34)) | set(extra))
-        g = {lam: float(g_all[lam - 2]) for lam in lams}
+        g = [math.nan] * (L + 1)
+        for lam in lams:
+            g[lam] = float(g_all[lam - 2])
         ends = [*lams, L + 1]
         for i, (a, b) in enumerate(zip(ends, ends[1:])):
+            first, further = floor(g, lams, i)
             for stop in {b - 1, L} if left_only else {b - 1}:
-                for lo, hi in accountant._pieces(a + 1, stop):
+                for lo, hi in pieces(a + 1, stop):
                     at = np.arange(lo, hi + 1)
-                    for q, slope in floor(lams, g, i, lo, hi):
+                    for q, slope in [first(lo, hi), *further(lo, hi)]:
                         assert np.all(q + slope * at <= g_all[at - 2])
                         floor_obj = accountant._line_floor(lo, hi, q, slope, float(T), neg_log_delta)
                         assert floor_obj <= objective[at - 2].min()

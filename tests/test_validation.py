@@ -85,6 +85,7 @@ ENTRY_POINTS = {
     "clones_closed_form": (
         _call(clones_closed_form, eps0=1.0, n=100, delta=1e-8), {"n": 0}, ["delta"]),
     "shuffle_amplify": (_call(shuffle_amplify, eps0=1.0, k=100, delta=1e-8), {"k": 1}, ["delta"]),
+    "shuffle_amplify_eps0_zero": (_call(shuffle_amplify, eps0=0.0, k=100, delta=1e-8), {}, ["delta"]),
     "strong_compose": (
         _call(strong_compose, ApproxDp(eps=0.5, delta=1e-9), T=10, delta_slack=1e-8),
         {"T": 0}, ["delta_slack"]),
@@ -94,8 +95,10 @@ ENTRY_POINTS = {
     "exact_rdp_2rr_subshuffle": (
         _call(exact_rdp_2rr_subshuffle, lam=2, params=SubsampledShuffleParams(100, 10, 1.0)),
         {"lam": 1}, []),
-    "least_squares_problem": (_call(least_squares_problem, n=20, d=3, seed=1), {"n": 0, "d": 0}, []),
-    "logistic_problem": (_call(logistic_problem, n=20, d=3, seed=1), {"n": 0, "d": 0}, []),
+    "least_squares_problem": (
+        _call(least_squares_problem, n=20, d=3, seed=1), {"n": 0, "d": 0, "seed": -1}, []),
+    "logistic_problem": (
+        _call(logistic_problem, n=20, d=3, seed=1), {"n": 0, "d": 0, "seed": -1}, []),
     "SgdConfig": (
         _call(_sgd_config),
         {"T": 0, "k": 0, "seed": -1, "record_every": 0}, ["delta"]),

@@ -1,7 +1,7 @@
 """Per-layer timings, written to ``BENCH_<pr>.json`` at the repository root.
 
     python tools/bench_layers.py 12                       # this checkout only
-    python tools/bench_layers.py 12 --parent ../parent    # plus a parent column
+    python tools/bench_layers.py 12 --parent ../parent    # plus a parent column and ratios
 
 Rows, each the median over every repeat, in milliseconds:
 
@@ -45,12 +45,14 @@ Rows, each the median over every repeat, in milliseconds:
 
 Rows in counts, not times:
 
-* the calls, the orders and the upper bound's cells (the size of every
-  (term x order) grid it sums) that ``total_privacy``'s order search
-  evaluates per query, averaged over QUERY_POINTS points of the
-  benchmark's query box (seed 1), and over SGD_POINTS points of its
-  ``sgd`` box (n = 1000, k = 100, eps0 in [1.5, 2.5], T in [25, 100],
-  delta = 1e-8 as ``SgdConfig``'s default);
+* the calls, the orders, the upper bound's grid cells (the size of every
+  (term x order) grid it sums) and its product calls (one fixed-size
+  product with the exact-binomial table for orders up to 65; none in
+  trees without it) that ``total_privacy``'s order search evaluates per
+  query, averaged over QUERY_POINTS points of the benchmark's query box
+  (seed 1), and over SGD_POINTS points of its ``sgd`` box (n = 1000,
+  k = 100, eps0 in [1.5, 2.5], T in [25, 100], delta = 1e-8 as
+  ``SgdConfig``'s default);
 * the calls and the orders that each bound computes in the two
   ``compare`` runs above.
 
@@ -60,21 +62,25 @@ peak RSS of the process that imported ``shuffle_rdp`` (median).
 A row whose call fails in one tree (a ``compare`` that a parent's k ceiling
 refuses) reads null there.
 
-Every measurement runs in a child process that imports ``shuffle_rdp`` from
-the ``src`` directory it is given.  With ``--parent``, the children
-alternate between the parent's tree and this one, ROUNDS times each, so
-that a drift of the host's speed falls on both columns alike.  Each child
-warms every row up once, then times it REPEATS times.  The start-up rows
-take STARTUP_REPEATS fresh processes per tree, the two trees alternating
-within each repeat, as a 20-30% swing of the host between child processes
-would otherwise decide them.  The file records the machine: CPU count,
-Python and numpy versions.
+Every measurement runs in one child process.  It imports the package of
+each tree under its own name (``shuffle_rdp_change``, and with
+``--parent`` also ``shuffle_rdp_parent``; the package's imports are
+relative, so a tree imports under any name), warms every row up once per
+tree, then times each row PAIRS times per tree, the trees alternating
+call by call and the first of each pair alternating too, so that a drift
+of the host's speed falls on both columns alike.  Each row records the
+median time per tree and, with ``--parent``, the median and quartiles of
+the PAIRS ratios change / parent.  The start-up rows take STARTUP_REPEATS
+fresh processes per tree, the two trees alternating within each repeat.
+The file records the machine: CPU count, Python and numpy versions.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -90,8 +96,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-ROUNDS = 5
-REPEATS = 3
+PAIRS = 15
 
 SGD_DIMS = (10, 50, 1000)
 SGD_ROUNDS = 200
@@ -153,10 +158,26 @@ def _workload_points(srdp, name: str, n_ops: int) -> list:
     ]
 
 
-def _clear_lower_caches():
-    """Empty the lower bound's per-mechanism caches (older trees may lack one)."""
-    from shuffle_rdp import bounds, logspace
+def _load(src: Path, name: str):
+    """The shuffle_rdp package under ``src``, imported as ``name``."""
+    package = Path(src) / "shuffle_rdp"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
+
+def _sub(srdp, name: str):
+    """The submodule ``name`` of the package ``srdp``."""
+    return importlib.import_module(f"{srdp.__name__}.{name}")
+
+
+def _clear_lower_caches(srdp):
+    """Empty the lower bound's per-mechanism caches (older trees may lack one)."""
+    bounds, logspace = _sub(srdp, "bounds"), _sub(srdp, "logspace")
     for cached in (getattr(bounds, "_lower_terms", None), getattr(logspace, "binom_log_pmf", None)):
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
@@ -201,7 +222,7 @@ def _cases(srdp, cli, tmp: Path) -> dict:
         checked, len(inputs)
     )
     cases["minimize_over_orders, headline, outside rdp_upper"] = (
-        _search_alone(params, acct), BLOCK_CALLS
+        _search_alone(srdp, params, acct), BLOCK_CALLS
     )
 
     def compare(argv):
@@ -221,7 +242,7 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             lambda b=block, calls=calls: [srdp.rdp_upper(b, params) for _ in range(calls)], calls
         )
     cases["rdp_upper, orders 2..2048, headline"] = (lambda: srdp.rdp_upper(orders, params), 1)
-    pmf = _uncached_pmf()
+    pmf = _uncached_pmf(srdp)
     for k in PMF_KS:
         calls = BLOCK_CALLS if k < 10**4 else 1
         cases[f"binom_log_pmf, k={k}, eps0=2, uncached"] = (
@@ -230,11 +251,10 @@ def _cases(srdp, cli, tmp: Path) -> dict:
     return cases
 
 
-def _search_alone(params, acct):
+def _search_alone(srdp, params, acct):
     """BLOCK_CALLS of total_privacy's order search, each order block's
     rdp_upper values looked up from a first search."""
-    from shuffle_rdp import accountant
-
+    accountant = _sub(srdp, "accountant")
     memo = {}
 
     def eps_fn(lam):
@@ -250,15 +270,13 @@ def _search_alone(params, acct):
     ]
 
 
-def _uncached_pmf():
-    from shuffle_rdp import logspace
-
-    return logspace.binom_log_pmf.__wrapped__
+def _uncached_pmf(srdp):
+    return _sub(srdp, "logspace").binom_log_pmf.__wrapped__
 
 
-def _pmf_peak_mb() -> float:
+def _pmf_peak_mb(srdp) -> float:
     """tracemalloc peak of one uncached binom_log_pmf at the largest k, in MB."""
-    pmf = _uncached_pmf()
+    pmf = _uncached_pmf(srdp)
     tracemalloc.start()
     try:
         pmf(PMF_KS[-1], PMF_P)
@@ -268,35 +286,41 @@ def _pmf_peak_mb() -> float:
 
 
 def _search_counts(srdp, label: str, points: list) -> dict:
-    """Calls, orders and upper-bound cells that total_privacy evaluates per
-    query, over the (params, AccountantConfig) points.  The cells are those
-    of every grid the upper bound passes to bounds._column_sums."""
-    from shuffle_rdp import accountant, bounds
+    """Calls, orders, upper-bound grid cells and product calls that
+    total_privacy evaluates per query, over the (params, AccountantConfig)
+    points.  The cells are those of every grid the upper bound passes to
+    bounds._column_sums; the product calls are those of
+    bounds._table_upper, where the tree has it."""
+    accountant, bounds = _sub(srdp, "accountant"), _sub(srdp, "bounds")
+    counts = dict.fromkeys(("calls", "orders", "cells", "products"), 0)
 
-    calls = orders = cells = 0
-    rdp_upper, column_sums = accountant.rdp_upper, bounds._column_sums
+    def counting(fn, **sizes):
+        def wrapped(*args):
+            for key, size in sizes.items():
+                counts[key] += size(*args)
+            return fn(*args)
+        return wrapped
 
-    def counted(lam, params):
-        nonlocal calls, orders
-        calls += 1
-        orders += np.atleast_1d(np.asarray(lam)).size
-        return rdp_upper(lam, params)
-
-    def summed(grid):
-        nonlocal cells
-        cells += grid.size
-        return column_sums(grid)
-
-    accountant.rdp_upper, bounds._column_sums = counted, summed
+    hooks = {
+        (accountant, "rdp_upper"): dict(calls=lambda *_: 1, orders=lambda lam, _: np.atleast_1d(lam).size),
+        (bounds, "_column_sums"): dict(cells=lambda grid: grid.size),
+        (bounds, "_table_upper"): dict(products=lambda _: 1),
+    }
+    originals = {key: getattr(*key) for key in hooks if hasattr(*key)}
+    for (module, name), fn in originals.items():
+        setattr(module, name, counting(fn, **hooks[module, name]))
     try:
         for params, cfg in points:
             srdp.total_privacy(params, cfg)
     finally:
-        accountant.rdp_upper, bounds._column_sums = rdp_upper, column_sums
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
+    n = len(points)
     return {
-        f"total_privacy, calls per query, {label}": calls / len(points),
-        f"total_privacy, orders per query, {label}": orders / len(points),
-        f"total_privacy, rdp_upper cells per query, {label}": cells / len(points),
+        f"total_privacy, calls per query, {label}": counts["calls"] / n,
+        f"total_privacy, orders per query, {label}": counts["orders"] / n,
+        f"total_privacy, rdp_upper grid cells per query, {label}": counts["cells"] / n,
+        f"total_privacy, rdp_upper product calls per query, {label}": counts["products"] / n,
     }
 
 
@@ -328,39 +352,49 @@ def _compare_counts(cli, tmp: Path) -> dict:
     return counts
 
 
-def measure(src: str) -> dict:
-    """Child process: REPEATS timings of every row, in ms, and the counts."""
-    sys.path.insert(0, src)
-    import shuffle_rdp as srdp
-    from shuffle_rdp import cli
-
+def measure(sides: dict) -> dict:
+    """Child process: PAIRS timings of every row per tree, in ms, the trees
+    alternating call by call; their ratios change / parent; the counts."""
+    trees = {side: _load(src, f"shuffle_rdp_{side}") for side, src in sides.items()}
+    out = {side: {"ms": {}, "count": {}, "MB": {}} for side in trees}
+    ratios = {}
     with tempfile.TemporaryDirectory() as tmp:
-        cases = _cases(srdp, cli, Path(tmp))
-        out = {}
-        for name, (fn, per) in cases.items():
-            try:
-                fn()
-            except RuntimeError:
-                out[name] = []
-                continue
-            times = []
-            for _ in range(REPEATS):
-                if name == COLD_ROW:
-                    _clear_lower_caches()
-                t0 = time.perf_counter()
-                fn()
-                times.append((time.perf_counter() - t0) * 1e3 / per)
-            out[name] = times
-        compare_counts = _compare_counts(cli, Path(tmp))
-    counts = {}
-    for label, name, n_ops in (("query box", "query", QUERY_POINTS), ("sgd box", "sgd", SGD_POINTS)):
-        counts.update(_search_counts(srdp, label, _workload_points(srdp, name, n_ops)))
-    return {"ms": out, "count": {**counts, **compare_counts}, "MB": {PMF_PEAK_ROW: _pmf_peak_mb()}}
+        cases = {side: _cases(srdp, _sub(srdp, "cli"), Path(tmp)) for side, srdp in trees.items()}
+        for name in cases["change"]:
+            runnable = {}
+            for side, srdp in trees.items():
+                fn, per = cases[side][name]
+                try:
+                    fn()
+                except RuntimeError:
+                    continue
+                runnable[side] = (srdp, fn, per)
+            times = {side: [] for side in trees}
+            for r in range(PAIRS if runnable else 0):
+                order = list(runnable) if r % 2 == 0 else list(reversed(runnable))
+                for side in order:
+                    srdp, fn, per = runnable[side]
+                    if name == COLD_ROW:
+                        _clear_lower_caches(srdp)
+                    t0 = time.perf_counter()
+                    fn()
+                    times[side].append((time.perf_counter() - t0) * 1e3 / per)
+            for side in trees:
+                out[side]["ms"][name] = times[side]
+            if len(runnable) == 2:
+                ratios[name] = [c / p for c, p in zip(times["change"], times["parent"])]
+        for side, srdp in trees.items():
+            out[side]["count"] = _compare_counts(_sub(srdp, "cli"), Path(tmp))
+    for side, srdp in trees.items():
+        for label, name, n_ops in (("query box", "query", QUERY_POINTS), ("sgd box", "sgd", SGD_POINTS)):
+            out[side]["count"].update(_search_counts(srdp, label, _workload_points(srdp, name, n_ops)))
+        out[side]["MB"] = {PMF_PEAK_ROW: _pmf_peak_mb(srdp)}
+    return {"sides": out, "ratio": ratios}
 
 
-def _child(src: Path) -> dict:
+def _child(sides: dict) -> dict:
     proc = subprocess.run(
-        [sys.executable, __file__, "--measure", str(src)],
+        [sys.executable, __file__, "--measure", json.dumps({k: str(v) for k, v in sides.items()})],
         check=True, capture_output=True, text=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -390,7 +424,7 @@ def main() -> int:
     ap.add_argument("--measure", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure:
-        print(json.dumps(measure(args.measure)))
+        print(json.dumps(measure(json.loads(args.measure))))
         return 0
     if not args.pr:
         ap.error("the number for BENCH_<pr>.json is required")
@@ -398,16 +432,10 @@ def main() -> int:
     sides = {"change": ROOT / "src"}
     if args.parent:
         sides = {"parent": args.parent.resolve() / "src", **sides}
-    samples = {side: {} for side in sides}
-    counts, memory = {}, {side: {} for side in sides}
-    for r in range(ROUNDS):
-        order = list(sides) if r % 2 == 0 else list(reversed(sides))
-        for side in order:
-            child = _child(sides[side])
-            for name, times in child["ms"].items():
-                samples[side].setdefault(name, []).extend(times)
-            counts[side] = child["count"]
-            memory[side].update({name: [mb] for name, mb in child["MB"].items()})
+    child = _child(sides)
+    samples = {side: dict(child["sides"][side]["ms"]) for side in sides}
+    memory = {side: {name: [mb] for name, mb in child["sides"][side]["MB"].items()} for side in sides}
+    counts = {side: child["sides"][side]["count"] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(STARTUP_REPEATS):
             for side in list(sides) if r % 2 == 0 else list(reversed(sides)):
@@ -421,8 +449,14 @@ def main() -> int:
     for name in samples["change"]:
         row = {"case": name, "unit": "ms"}
         for side in sides:
-            times = samples[side][name]
+            times = samples[side].get(name)
             row[side] = round(statistics.median(times), 4) if times else None
+        ratio = child["ratio"].get(name)
+        if ratio is None and name in (IMPORT_ROW, BOUND_ROW) and len(sides) == 2:
+            ratio = [c / p for c, p in zip(samples["change"][name], samples["parent"][name])]
+        if ratio:
+            q1, _, q3 = statistics.quantiles(ratio, n=4)
+            row.update(ratio=round(statistics.median(ratio), 3), ratio_q1=round(q1, 3), ratio_q3=round(q3, 3))
         row["repeats"] = len(samples["change"][name])
         rows.append(row)
     for name in memory["change"]:
@@ -442,8 +476,10 @@ def main() -> int:
             "numpy": np.__version__,
         },
         "method": (
-            f"median over {ROUNDS} child processes x {REPEATS} repeats per row, each after one warm-up;"
-            f" start-up rows: median over {STARTUP_REPEATS} fresh processes per tree, alternating"
+            f"one child process importing every tree under its own name; per row one warm-up, then"
+            f" {PAIRS} timings per tree alternating call by call; ratio = median [quartiles] of"
+            f" change / parent over the pairs; start-up rows: median over {STARTUP_REPEATS} fresh"
+            f" processes per tree, alternating"
         ),
         "rows": rows,
     }

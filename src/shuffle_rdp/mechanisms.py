@@ -15,13 +15,15 @@ norms are known.  vec_randomize_batch is its scatter into a dense (k, d)
 batch, one client per row, and clip_batch clips such a batch.
 
 Randomness is always a caller-owned numpy Generator; mechanism objects
-are immutable and shareable across threads.
+are immutable and shareable across threads (each caches its flip
+probability and output scale on first use).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,13 +55,17 @@ class VecMech:
         if not self.C > 0:
             raise ValueError(f"radius must be positive, got {self.C}")
         if not math.isfinite(self.scale * self.scale):  # a product overflows; scale**2 raises
-            raise ValueError("the output scale d C (e^eps0+1)/(e^eps0-1) or its square overflows")
+            raise ValueError(
+                "the output scale d C (e^eps0+1)/(e^eps0-1) or its square overflows "
+                f"at d = {self.d}, clip radius C = {self.C}, eps0 = {self.eps0}"
+            )
 
-    @property
+    # The draw reads these once per batch: each is computed once per mechanism.
+    @cached_property
     def flip_prob(self) -> float:
         return 1.0 / (math.exp(self.eps0) + 1.0)
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """Output magnitude d C (e^{eps0}+1)/(e^{eps0}-1) restoring unbiasedness."""
         return self.d * self.C * (math.exp(self.eps0) + 1.0) / math.expm1(self.eps0)

@@ -18,14 +18,25 @@ w_i a_i, so its l-infinity norm is |w_i| max_j |a_ij|, read from a per-row
 maximum computed once per problem; the randomizer then reads the one
 coordinate it picks.  After the k dot products a . theta, a round costs
 O(k + d).
+
+Every round draws from two independent streams keyed by (seed, round,
+purpose): purpose 0 samples the cohort, purpose 1 drives the randomizer.
+Each is the stream of ``default_rng(SeedSequence((seed, t, purpose)))``,
+bit for bit, but a run builds no SeedSequence per round: it derives the
+PCG64 states of a block of rounds at once, SeedSequence's hash mixing
+vectorised over t followed by PCG64's seeding, and sets them on two
+reused generators.  That covers every key of at most four 32-bit words,
+a seed below 2^64 and a round below 2^32; any other key builds its
+SeedSequence.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -42,21 +53,40 @@ SCHEDULE_CONSTANT = "constant"
 # Bound on each loss's second derivative in the prediction z = a . theta.
 _CURVATURE = {LOSS_LEAST_SQUARES: 1.0, LOSS_LOGISTIC: 0.25}
 
+#: Most entries of a random problem's (n, d) design and of its (d, d) Gram
+#: matrix, 1 GiB of doubles each; larger n or d is refused before either
+#: is allocated.
+MAX_DESIGN_ENTRIES = 2**27
+#: Most rounds of a run.  Every round then has a one-word index in its
+#: stream key, and a run this long already takes days.
+MAX_ROUNDS = 2**32 - 1
+
 
 def _loss_value(loss: str, z: np.ndarray, b: np.ndarray) -> float:
     """Mean loss over samples with predictions z = a . theta and targets b."""
+    # np.add.reduce(v) / n is np.mean(v), bit for bit, without its dispatch.
     if loss == LOSS_LEAST_SQUARES:
-        return 0.5 * float(np.mean((z - b) ** 2))
-    return float(np.mean(np.logaddexp(0.0, -b * z)))
+        return 0.5 * float(np.add.reduce((z - b) ** 2) / len(z))
+    return float(np.add.reduce(np.logaddexp(0.0, -b * z)) / len(z))
+
+
+def _unguarded_grad_weights(loss: str, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_grad_weights without its overflow guard: a logistic weight whose exp
+    overflows is still 0, but numpy warns unless the caller ignores overflow."""
+    if loss == LOSS_LEAST_SQUARES:
+        return z - b
+    return -b * (1.0 / (1.0 + np.exp(b * z)))  # b z is -(-b z), exactly
 
 
 def _grad_weights(loss: str, z: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-sample d loss / d z: sample i's gradient is weights[i] * a_i."""
-    if loss == LOSS_LEAST_SQUARES:
-        return z - b
-    margins = -b * z
     with np.errstate(over="ignore"):  # 1 / (1 + inf) = 0 is the right limit
-        return -b * (1.0 / (1.0 + np.exp(-margins)))
+        return _unguarded_grad_weights(loss, z, b)
+
+
+def _check_radius(radius: float) -> None:
+    if not (radius > 0 and math.isfinite(2.0 * radius)):
+        raise ValueError(f"radius must be positive with a finite diameter, got {radius}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +112,7 @@ class ConvexProblem:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.features.ndim != 2 or self.targets.shape != (self.features.shape[0],):
             raise ValueError("features must be (n, d) with matching targets")
-        if not (self.radius > 0 and math.isfinite(self.diameter)):
-            raise ValueError(f"radius must be positive with a finite diameter, got {self.radius}")
+        _check_radius(self.radius)
         # d L^2 enters the step size; a float product overflows to inf, not an error.
         second_moment = self.d * self.lipschitz * self.lipschitz
         if not (math.isfinite(self.f_star) and math.isfinite(second_moment)):
@@ -119,17 +148,30 @@ class ConvexProblem:
 
 
 def project(theta: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l2 ball of the given radius."""
+    """Euclidean projection onto the l2 ball of the given radius; a
+    non-finite theta raises ValueError."""
     if not radius > 0:
         raise ValueError("radius must be positive")
+    theta = np.asarray(theta, dtype=np.float64)
     with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(theta))
-    if nrm == math.inf:  # the squared norm overflowed; rescale before squaring
-        top = float(np.max(np.abs(theta)))
-        nrm = top * float(np.linalg.norm(np.asarray(theta) / top))
+        return _onto_ball(theta, math.sqrt(theta @ theta), radius)
+
+
+def _onto_ball(theta: np.ndarray, nrm: float, radius: float) -> np.ndarray:
+    """project for a float64 theta whose l2 norm, sqrt(theta @ theta) as
+    np.linalg.norm computes it, is ``nrm``: inf where the squared norm
+    overflowed, or where theta is not finite."""
     if nrm <= radius:
-        return np.asarray(theta, dtype=np.float64)
-    return np.asarray(theta, dtype=np.float64) * (radius / nrm)
+        return theta
+    if not math.isfinite(nrm):  # rescale before squaring
+        top = float(np.max(np.abs(theta)))
+        if not math.isfinite(top):
+            raise ValueError(f"cannot project the non-finite iterate {theta}")
+        scaled = theta / top
+        nrm = top * math.sqrt(scaled @ scaled)
+        if nrm <= radius:
+            return theta
+    return theta * (radius / nrm)
 
 
 def solve_optimum(
@@ -166,7 +208,13 @@ def _random_problem(loss: str, n: int, d: int, seed: int, radius: float) -> Conv
     """A random instance: Gaussian design, planted theta at 0.7 radius, noisy targets."""
     check_int("n", n, 1)
     check_int("d", d, 1)
+    if max(n, d) * d > MAX_DESIGN_ENTRIES:
+        raise ValueError(
+            f"n = {n} and d = {d} need an (n, d) design and a (d, d) Gram matrix, "
+            f"each of at most MAX_DESIGN_ENTRIES = {MAX_DESIGN_ENTRIES} entries"
+        )
     check_int("seed", seed, 0)
+    _check_radius(radius)
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, d)) / math.sqrt(d)
     theta_true = rng.normal(size=d)
@@ -219,19 +267,17 @@ class SgdConfig:
     record_every: Optional[int] = None  # default max(1, T // 500)
 
     def __post_init__(self):
-        check_int("T", self.T, 1)
+        check_int("T", self.T, 1, MAX_ROUNDS)
         check_int("k", self.k, 1)
         check_int("seed", self.seed, 0)
         if not self.clip_radius > 0:
             raise ValueError("clip radius must be positive")
         if self.schedule not in (SCHEDULE_PAPER, SCHEDULE_CONSTANT):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.schedule == SCHEDULE_CONSTANT and not (
-            self.eta is not None and self.eta > 0
-        ):
+        if self.eta is not None and not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if self.schedule == SCHEDULE_CONSTANT and self.eta is None:
             raise ValueError("constant schedule requires a positive eta")
-        if self.eta is not None and not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
         if not (self.bypass_randomizer or self.eps0 > 0):
             raise ValueError("eps0 must be positive unless the randomizer is bypassed")
         check_delta(self.delta)
@@ -285,6 +331,98 @@ def _round_rng(seed: int, t: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, t, purpose)))
 
 
+# SeedSequence's hash constants and PCG64's multiplier, as numpy defines them
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL_WORDS = 4  # SeedSequence's entropy pool, in 32-bit words
+_STREAM_BLOCK = 1024  # rounds derived in one pass; bounds a long run's memory
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """init mult^i mod 2^32 for i = 0..calls: hashmix call i xors the i-th
+    and multiplies by the next, whatever the data."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None, None]
+
+
+_HASH_POOL = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)  # fill, then 12 mixes
+_HASH_OUT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)  # generate_state's 8 words
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of value broadcast against len(consts) - 1 calls."""
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> 16
+    return value
+
+
+def _pcg64_states(entropy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's (state, inc), as object arrays of ints, that default_rng
+    starts from for SeedSequences whose assembled entropy is ``entropy``:
+    a uint32 array of _POOL_WORDS rows, one per word, zero-padded, with a
+    key in each column.
+
+    SeedSequence's pool mixing and generate_state(4, uint64), then PCG64's
+    setseq seeding: state = ((inc + s) M + inc) mod 2^128 with
+    inc = 2 seq + 1, where s and seq are the four uint64 words in pairs."""
+    pool = _hashmix(entropy, _HASH_POOL[:_POOL_WORDS + 1])
+    for src in range(_POOL_WORDS):
+        dst = [i for i in range(_POOL_WORDS) if i != src]
+        call = _POOL_WORDS + len(dst) * src
+        hashed = _hashmix(pool[src], _HASH_POOL[call:call + len(dst) + 1])
+        mixed = pool[dst] * _MIX_L - hashed * _MIX_R
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    words = _hashmix(np.concatenate([pool, pool]), _HASH_OUT).astype(np.uint64)
+    w = (words[0::2] | words[1::2] << 32).astype(object)  # little-endian pairs
+    s = w[0] << 64 | w[1]
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
+    return ((inc + s) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _round_streams(
+    seed: int, start: int, stop: int
+) -> Iterator[tuple[np.random.Generator, np.random.Generator]]:
+    """The (cohort, randomizer) generators of rounds start..stop-1: the
+    streams of _round_rng(seed, t, 0) and _round_rng(seed, t, 1), bit for
+    bit.  The same two generators come back every round, their states reset.
+
+    The states of up to _STREAM_BLOCK rounds are derived in one pass.  The
+    pass lays out each key's entropy as the seed's words, t and the
+    purpose, which holds for a seed below 2^64 and t below 2^32; other
+    rounds build their SeedSequence."""
+    gens = (np.random.Generator(np.random.PCG64(0)), np.random.Generator(np.random.PCG64(0)))
+    bits = [gen.bit_generator for gen in gens]
+    seed = operator.index(seed)  # a numpy integer too, as SeedSequence takes one
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    fast_stop = min(stop, 2**32) if len(seed_words) <= _POOL_WORDS - 2 else start
+    for lo in range(start, fast_stop, _STREAM_BLOCK):
+        hi = min(lo + _STREAM_BLOCK, fast_stop)
+        entropy = np.zeros((_POOL_WORDS, 2, hi - lo), dtype=np.uint32)
+        entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None, None]
+        entropy[len(seed_words)] = np.arange(lo, hi)  # t
+        entropy[len(seed_words) + 1] = [[0], [1]]  # purpose
+        states, incs = _pcg64_states(entropy)  # (purpose, round) each
+        for round_states, round_incs in zip(zip(*states.tolist()), zip(*incs.tolist())):
+            for bit, state, inc in zip(bits, round_states, round_incs):
+                bit.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+            yield gens
+    for t in range(max(start, fast_stop), stop):
+        yield _round_rng(seed, t, 0), _round_rng(seed, t, 1)
+
+
 def aggregate_round(
     problem: ConvexProblem,
     theta: np.ndarray,
@@ -292,26 +430,31 @@ def aggregate_round(
     mech: Optional[VecMech],
     cfg: SgdConfig,
     t: int,
+    rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """One round's mean report: gradients, clipping, randomization.
 
-    Equal, bit for bit, to clipping the (k, d) gradient batch with
-    clip_batch, randomizing it with vec_randomize_batch on the round's
-    generator and counting signs, without forming the batch: rounding is
-    monotone, so fl(|w_i| max_j |a_ij|) is exactly max_j |fl(w_i a_ij)|.
+    The randomizer draws from ``rng``, by default the round's stream
+    _round_rng(cfg.seed, t, 1).  Equal, bit for bit, to clipping the (k, d)
+    gradient batch with clip_batch, randomizing it with vec_randomize_batch
+    on that generator and counting signs, without forming the batch:
+    rounding is monotone, so fl(|w_i| max_j |a_ij|) is exactly
+    max_j |fl(w_i a_ij)|.  A logistic weight whose exp overflows is 0, its
+    limit; numpy warns of the overflow unless the caller ignores it, as run
+    does once for all its rounds.
     """
     if mech is None:
         return clip_batch(problem.sample_grads(theta, idx), cfg.clip_radius).mean(axis=0)
     if mech.d != problem.d:
         raise ValueError(f"the randomizer has dimension {mech.d}, the problem {problem.d}")
-    w = _grad_weights(problem.loss, problem.features[idx] @ theta, problem.targets[idx])
+    w = _unguarded_grad_weights(problem.loss, problem.features[idx] @ theta, problem.targets[idx])
     norms = np.abs(w) * problem.row_max_abs[idx]
     factor = np.maximum(1.0, norms / cfg.clip_radius)
     j, b = vec_randomize_sparse(
         lambda j: w * problem.features[idx, j] / factor,
         norms / factor,
         mech,
-        _round_rng(cfg.seed, t, 1),
+        _round_rng(cfg.seed, t, 1) if rng is None else rng,
     )
     # The shuffled reports are a histogram: net sign count times scale is
     # each coordinate's exact sum, rounded once.
@@ -357,14 +500,19 @@ def run(problem: ConvexProblem, cfg: SgdConfig) -> SgdRunReport:
     c = int(cfg.T).bit_length()
     sq_norm_sum = 0.0
 
-    for t in range(1, cfg.T + 1):
-        idx = _round_rng(cfg.seed, t, 0).choice(problem.n, size=cfg.k, replace=False)
-        g_bar = aggregate_round(problem, theta, idx, mech, cfg, t)
-        sq_norm_sum += math.ldexp(float(g_bar @ g_bar), -c)
-        theta = project(theta - eta(t) * g_bar, problem.radius)
-        if t % record_every == 0 or t == cfg.T:
-            rounds.append(t)
-            objectives.append(problem.objective(theta))
+    streams = _round_streams(cfg.seed, 1, cfg.T + 1)
+    # Overflow is ignored once for all rounds: a logistic weight's exp (see
+    # aggregate_round), and a squared norm that _onto_ball rescales.
+    with np.errstate(over="ignore"):
+        for t, (cohort, randomizer) in enumerate(streams, start=1):
+            idx = cohort.choice(problem.n, size=cfg.k, replace=False)
+            g_bar = aggregate_round(problem, theta, idx, mech, cfg, t, randomizer)
+            sq_norm_sum += math.ldexp(float(g_bar @ g_bar), -c)
+            theta = theta - eta(t) * g_bar
+            theta = _onto_ball(theta, math.sqrt(theta @ theta), problem.radius)
+            if t % record_every == 0 or t == cfg.T:
+                rounds.append(t)
+                objectives.append(problem.objective(theta))
 
     privacy = None
     if mech is not None:
@@ -391,8 +539,9 @@ def grad_second_moment_check(
     theta = project(theta, 0.5 * problem.radius)
     mech = _mechanism(problem, cfg)
     total = 0.0
-    for s in range(1, samples + 1):
-        idx = rng.choice(problem.n, size=cfg.k, replace=False)
-        g_bar = aggregate_round(problem, theta, idx, mech, cfg, s)
-        total += float(g_bar @ g_bar)
+    with np.errstate(over="ignore"):  # see aggregate_round
+        for s, (_, randomizer) in enumerate(_round_streams(cfg.seed, 1, samples + 1), start=1):
+            idx = rng.choice(problem.n, size=cfg.k, replace=False)
+            g_bar = aggregate_round(problem, theta, idx, mech, cfg, s, randomizer)
+            total += float(g_bar @ g_bar)
     return total / samples

@@ -470,8 +470,10 @@ class TestHighPrecision:
     @staticmethod
     def upper_mp(lam, n, k, eps0):
         # The closed form of rdp_upper's docstring, summed term by term.
+        # Its Upsilon term (1 + a)^lam - 1 - lam a is about (lam a)^2 with
+        # a of the order of k/n, so 60 digits of it take 60 + 2 log10(n/k).
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(60):
+        with mpmath.workdps(60 + 2 * math.ceil(math.log10(n / k))):
             e = mpmath.exp(mpmath.mpf(eps0))
             g = mpmath.mpf(k) / n
             kb = kbar(k, eps0)
@@ -511,7 +513,7 @@ class TestHighPrecision:
     @pytest.mark.parametrize("lam", [1024, 2048, 4096])
     def test_upper_at_large_orders(self, n, k, eps0, lam):
         ref = self.upper_mp(lam, n, k, eps0)
-        assert rdp_upper(lam, params(n, k, eps0)) == pytest.approx(ref, rel=1e-11)
+        assert rdp_upper(lam, params(n, k, eps0)) == pytest.approx(ref, rel=1e-11, abs=0)
 
     @pytest.mark.parametrize(
         "n,k,eps0,product",
@@ -532,18 +534,18 @@ class TestHighPrecision:
         assert (bounds._table_upper(p) is not None) == product
         lams = [2, 3, 33, 56, 57, 65]
         for lam, got in zip(lams, rdp_upper(lams, p)):
-            assert got == pytest.approx(self.upper_mp(lam, n, k, eps0), rel=5e-14)
+            assert got == pytest.approx(self.upper_mp(lam, n, k, eps0), rel=5e-14, abs=0)
 
     @pytest.mark.parametrize("n, product", [(10**145, True), (2 * 10**145, False)])
     def test_upper_at_the_smallest_coefficients(self, n, product):
-        # ln c_2 = -664.1 takes the product and -665.5 the grid.  The
-        # 60-digit sum cannot resolve a sampling rate of 1e-145 (its Upsilon
-        # cancels), so the grid is the reference: both carry the rounding of
-        # ln c_j near -660, about 1e-13.
+        # ln c_2 = -664.1 takes the product and -665.5 the grid.  Both carry
+        # the rounding of ln c_j near -660, about 1e-13 (measured: at most
+        # 6.1e-14 through the product, 1.2e-13 through the grid).
         p = params(n, 2, 1.0)
         assert (bounds._table_upper(p) is not None) == product
-        lams = np.array([2.0, 3.0, 33.0, 56.0, 57.0, 65.0])
-        assert rdp_upper(lams, p) == pytest.approx(bounds._grid_upper(lams, p), rel=2e-13)
+        lams = [2, 3, 33, 56, 57, 65]
+        for lam, got in zip(lams, rdp_upper(lams, p)):
+            assert got == pytest.approx(self.upper_mp(lam, n, 2, 1.0), rel=2e-13, abs=0)
 
     @pytest.mark.parametrize("eps0", [0.1, 2.0, 5.0])
     @pytest.mark.parametrize("k", [2, 100, 1000])
@@ -551,9 +553,9 @@ class TestHighPrecision:
         lams = [2, 3, 8, 32, 256]
         for n in (k, 1000 * k, 10**6 * k):
             got = rdp_lower(lams, params(n, k, eps0))
-            assert got == pytest.approx(self.lower_mp(lams, n, k, eps0), rel=1e-11)
+            assert got == pytest.approx(self.lower_mp(lams, n, k, eps0), rel=1e-11, abs=0)
 
     def test_lower_direct_sum_k1e4(self):
         lams = [2, 32, 256]
         got = rdp_lower(lams, params(10**7, 10**4, 2.0))
-        assert got == pytest.approx(self.lower_mp(lams, 10**7, 10**4, 2.0), rel=1e-11)
+        assert got == pytest.approx(self.lower_mp(lams, 10**7, 10**4, 2.0), rel=1e-11, abs=0)

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +376,47 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
+    FUZZ_ARGS = ["--T=3", "--k=2", "--n=6", "--d=3", "--eps0=2"]
+    FUZZ_FLAGS = [
+        "--d", "--n", "--radius", "--problem-seed", "--T", "--k", "--eps0",
+        "--clip-radius", "--delta", "--seed", "--eta", "--record-every",
+    ]
+
+    @pytest.mark.parametrize("value", ["0", "1e-320", "-1e-320", "1e308", "inf", "nan"])
+    @pytest.mark.parametrize(
+        "flag, schedule",
+        [(flag, "paper") for flag in FUZZ_FLAGS] + [("--eta", "constant")],  # eta steps only there
+    )
+    def test_numeric_flag_at_an_extreme(self, tmp_path, capsys, flag, schedule, value):
+        # Either a quiet run with finite outputs, or exit 2 with one error
+        # line that names the flag; never a traceback, a warning or a
+        # partial --out directory.  `--flag=value` keeps argparse from
+        # reading -1e-320 as a flag.
+        out = tmp_path / "o"
+        args = {a.split("=")[0]: a for a in self.FUZZ_ARGS}
+        args[flag] = f"{flag}={value}"
+        argv = ["simulate", *args.values(), f"--schedule={schedule}", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert err == ""
+            rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+            assert rows and all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
+            def reject(name):
+                raise AssertionError(f"privacy.json holds {name}")
+
+            json.loads((out / "privacy.json").read_text(), parse_constant=reject)
+        else:
+            assert rc == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            named = flag.lstrip("-").replace("-", "[-_ ]")
+            assert re.search(rf"(?<![\w-])(--)?{named}\b", err), err
+            assert not out.exists()
 
     def test_bad_cohort_exit2(self, tmp_path):
         rc = main(

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +37,11 @@ def problem_of_dim(d, loss="least_squares"):
     return build(n=500, d=d, seed=7)
 
 
-def dense_round(problem, theta, idx, mech, cfg, t):
-    """The round on the dense (k, d) batch: clip, randomize, count signs."""
+def dense_round(problem, theta, idx, mech, cfg, t, rng=None):
+    """The round on the dense (k, d) batch: clip, randomize, count signs.
+    It ignores ``rng`` and draws from the round's reference stream, built
+    from its own SeedSequence, so a run through it also checks the run's
+    derived streams."""
     clipped = clip_batch(problem.sample_grads(theta, idx), cfg.clip_radius)
     reports = vec_randomize_batch(clipped, mech, sgd._round_rng(cfg.seed, t, 1))
     return np.sign(reports).sum(axis=0) * mech.scale / len(idx)
@@ -72,11 +76,57 @@ class TestProject:
         x = np.array([1e200, 1e200])
         np.testing.assert_array_equal(project(x, 1e300), x)
 
+    @pytest.mark.parametrize("x", [[math.inf, 0.0], [math.nan, 1.0]])
+    def test_non_finite_iterate_rejected(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite iterate"):
+                project(np.array(x), 1.0)
+
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=4) * 10
         once = project(x, 1.0)
         np.testing.assert_allclose(project(once, 1.0), once, rtol=1e-15)
+
+
+class TestRoundStreams:
+    # Each (round, purpose) stream is derived per run without a SeedSequence
+    # per round; it must stay the stream of its own SeedSequence, so that a
+    # change to numpy's SeedSequence mixing or PCG64 seeding fails here.
+    @staticmethod
+    def assert_streams_match(seed, start, stop):
+        draws = (
+            lambda g: g.choice(1000, size=5, replace=False),
+            lambda g: g.integers(50, size=3),  # leaves a buffered 32-bit word
+            lambda g: g.random(2),
+        )
+        rounds = 0
+        for t, gens in enumerate(sgd._round_streams(seed, start, stop), start=start):
+            for purpose, gen in enumerate(gens):
+                ref = np.random.default_rng(np.random.SeedSequence((seed, t, purpose)))
+                assert gen.bit_generator.state == ref.bit_generator.state, (seed, t, purpose)
+                for draw in draws:
+                    assert draw(gen).tobytes() == draw(ref).tobytes(), (seed, t, purpose)
+            rounds += 1
+        assert rounds == stop - start
+
+    # 2**32 - 1 and 2**32 span the one- and two-word seeds; 2**64 needs
+    # three words and takes the SeedSequence fallback.
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63, 2**64])
+    def test_streams_equal_their_seed_sequences(self, seed):
+        self.assert_streams_match(seed, 1, 3001)
+
+    @pytest.mark.parametrize("seed", [0, 2**63])
+    def test_rounds_past_32_bits_fall_back(self, seed):
+        self.assert_streams_match(seed, 2**32 - 3, 2**32 + 3)
+
+    def test_numpy_integer_seed(self):
+        self.assert_streams_match(np.uint64(2**40 + 3), 1, 20)
+
+    def test_derivation_spans_blocks(self):
+        block = sgd._STREAM_BLOCK
+        self.assert_streams_match(7, block - 2, block + 3)
 
 
 class TestProblems:
@@ -122,6 +172,16 @@ class TestProblems:
         with pytest.raises(ValueError, match="radius"):
             build(n=100, d=10, seed=7, radius=radius)
 
+    def test_design_past_its_cap_rejected(self, monkeypatch):
+        # Refused before the (n, d) design or its (d, d) Gram matrix is
+        # allocated.  A small cap keeps the test from allocating much if the
+        # check were missing.
+        monkeypatch.setattr(sgd, "MAX_DESIGN_ENTRIES", 100)
+        least_squares_problem(n=10, d=10, seed=1)
+        for n, d in ((11, 10), (1, 11)):
+            with pytest.raises(ValueError, match="MAX_DESIGN_ENTRIES"):
+                least_squares_problem(n=n, d=d, seed=1)
+
     def test_overflowing_problem_rejected(self):
         # The diameter is finite, but d L^2 is not.
         with pytest.raises(ValueError, match="overflows"):
@@ -150,6 +210,17 @@ class TestRunMechanics:
     def test_non_finite_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta"):
             SgdConfig(T=5, k=10, eps0=1.0, clip_radius=1.0, schedule="constant", eta=eta)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    @pytest.mark.parametrize("schedule", ["paper", "constant"])
+    def test_non_positive_eta_rejected(self, schedule, eta):
+        with pytest.raises(ValueError, match="eta"):
+            SgdConfig(T=5, k=10, eps0=1.0, clip_radius=1.0, schedule=schedule, eta=eta)
+
+    def test_rounds_past_the_cap_rejected(self):
+        SgdConfig(T=sgd.MAX_ROUNDS, k=10, eps0=1.0, clip_radius=1.0)
+        with pytest.raises(ValueError, match=r"\bT\b"):
+            SgdConfig(T=sgd.MAX_ROUNDS + 1, k=10, eps0=1.0, clip_radius=1.0)
 
     def test_eps0_required_without_bypass(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,14 @@ Rows, each the median over every repeat, in milliseconds:
 * the CLDP-SGD round: ``run`` on a least-squares problem with n = 1000,
   k = 100, T = 200 and ``record_every`` = 100, per round, at d = 10, 50
   and 1000 (building the problem is not timed);
+* an operation shaped like the benchmark's ``sgd`` workload: ``run`` on a
+  logistic problem with n = 1000, d = 50, k = 100, T = SGD_OP_ROUNDS and
+  the default ``record_every``, so every round's objective is recorded,
+  per run over SGD_OP_RUNS runs of distinct seeds;
+* the set-up of one round's random stream, per stream over the
+  2 SGD_OP_ROUNDS streams (cohort and randomizer) of one such run: the
+  per-run derivation where the tree has ``sgd._round_streams``, else one
+  ``sgd._round_rng`` per stream;
 * the headline ``total_privacy`` (eps0 = 2, n = 1e6, k = 1e3, T = 1e5,
   delta = 1e-8), per call over a loop of BLOCK_CALLS calls;
 * ``total_privacy`` per call over the points of the benchmark's query box
@@ -100,6 +108,8 @@ PAIRS = 15
 
 SGD_DIMS = (10, 50, 1000)
 SGD_ROUNDS = 200
+SGD_OP_ROUNDS = 60
+SGD_OP_RUNS = 10  # a run takes about 10 ms: time a loop of runs
 HEADLINE = {"n": 10**6, "k": 1000, "eps0": 2.0, "T": 10**5, "delta": 1e-8}
 SWEEP_ARGV = [
     "compare", "--axis", "T", "--values", "10000,100000,1000000", "--lambda-max", "2048",
@@ -192,6 +202,17 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             T=SGD_ROUNDS, k=100, eps0=2.0, clip_radius=prob.lipschitz, seed=1, record_every=100
         )
         cases[f"sgd.run per round, k=100, d={d}"] = (lambda p=prob, c=cfg: srdp.run(p, c), SGD_ROUNDS)
+    prob = srdp.logistic_problem(n=1000, d=50, seed=7)
+    cfgs = [
+        srdp.SgdConfig(T=SGD_OP_ROUNDS, k=100, eps0=2.0, clip_radius=prob.lipschitz, seed=seed)
+        for seed in range(SGD_OP_RUNS)
+    ]
+    cases[f"sgd op (run), logistic, n=1000, d=50, k=100, T={SGD_OP_ROUNDS}"] = (
+        lambda: [srdp.run(prob, cfg) for cfg in cfgs], SGD_OP_RUNS
+    )
+    cases[f"round stream set-up, per stream, T={SGD_OP_ROUNDS}"] = (
+        _stream_setup(srdp), 2 * SGD_OP_ROUNDS
+    )
     params = srdp.SubsampledShuffleParams(n=HEADLINE["n"], k=HEADLINE["k"], eps0=HEADLINE["eps0"])
     acct = srdp.AccountantConfig(T=HEADLINE["T"], delta=HEADLINE["delta"])
     cases["total_privacy, headline"] = (
@@ -249,6 +270,15 @@ def _cases(srdp, cli, tmp: Path) -> dict:
             lambda k=k, calls=calls: [pmf(k, PMF_P) for _ in range(calls)], calls
         )
     return cases
+
+
+def _stream_setup(srdp):
+    """The cohort and randomizer streams of SGD_OP_ROUNDS rounds, set up as
+    the tree's run sets them up."""
+    sgd = _sub(srdp, "sgd")
+    if hasattr(sgd, "_round_streams"):
+        return lambda: sum(1 for _ in sgd._round_streams(1, 1, SGD_OP_ROUNDS + 1))
+    return lambda: [sgd._round_rng(1, t, p) for t in range(1, SGD_OP_ROUNDS + 1) for p in (0, 1)]
 
 
 def _search_alone(srdp, params, acct):
